@@ -32,6 +32,10 @@ void Table1_RecoveryModel(benchmark::State& state) {
   state.counters["window_segs"] = xgbe::analysis::window_segments(
       row.bandwidth_bps, row.rtt_s, row.mss_bytes);
   state.counters["recovery_s"] = seconds;
+  xgbe::bench::log_point(
+      state, xgbe::bench::point_name(
+                 "Table1_RecoveryModel",
+                 {{"row", static_cast<std::int64_t>(state.range(0))}}));
 }
 
 // Live validation on a scaled path (20 ms RTT, OC-48 bottleneck) so the
@@ -92,10 +96,13 @@ void Table1_LiveValidation(benchmark::State& state) {
     measured_s = (*halved_at >= 0 && *recovered_at >= 0)
                      ? xgbe::sim::to_seconds(*recovered_at - dropped_at)
                      : -1.0;
+    *writer = nullptr;  // the writer captures itself; break the cycle
   }
   state.counters["measured_s"] = measured_s;
   state.counters["predicted_s"] = predicted_s;
   state.counters["ratio"] = predicted_s > 0 ? measured_s / predicted_s : 0.0;
+  xgbe::bench::log_point(state,
+                         xgbe::bench::point_name("Table1_LiveValidation"));
 }
 
 }  // namespace
@@ -107,4 +114,4 @@ BENCHMARK(Table1_RecoveryModel)
 
 BENCHMARK(Table1_LiveValidation)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-BENCHMARK_MAIN();
+XGBE_BENCH_MAIN();

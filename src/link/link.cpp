@@ -231,18 +231,72 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
         channel.push(arrival + verdict.duplicate_delay, out);
       }
     } else {
-      auto rec = dir.delivery_pool.acquire();
-      rec->pkt = out;
-      rec->sink = sink;
-      sim.schedule_at(arrival, [rec]() { rec->sink->deliver(rec->pkt); });
+      deliver_later(dir, sink, arrival, out);
       if (verdict.duplicate) {
-        auto dup = dir.delivery_pool.acquire();
-        dup->pkt = out;
-        dup->sink = sink;
-        sim.schedule_at(arrival + verdict.duplicate_delay,
-                        [dup]() { dup->sink->deliver(dup->pkt); });
+        deliver_later(dir, sink, arrival + verdict.duplicate_delay, out);
       }
     }
+  }
+}
+
+void Link::FrameRing::push_back(const InFlight& frame) {
+  if (tail_ == nullptr || tail_pos_ == kBlockFrames) {
+    std::unique_ptr<Block> block =
+        spare_ ? std::move(spare_) : std::make_unique<Block>();
+    Block* raw = block.get();
+    (tail_ == nullptr ? head_ : tail_->next) = std::move(block);
+    tail_ = raw;
+    tail_pos_ = 0;
+  }
+  tail_->frames[tail_pos_++] = frame;
+  ++size_;
+}
+
+void Link::FrameRing::pop_front() {
+  --size_;
+  if (++head_pos_ == kBlockFrames) {
+    std::unique_ptr<Block> next = std::move(head_->next);
+    spare_ = std::move(head_);
+    head_ = std::move(next);
+    if (head_ == nullptr) tail_ = nullptr;
+    head_pos_ = 0;
+  }
+}
+
+void Link::deliver_later(Direction& dir, NetDevice* sink,
+                         sim::SimTime arrival, const net::Packet& pkt) {
+  sim::Simulator& sim = *dir.sim;
+  // Taken now, where a per-frame event would have been scheduled, so the
+  // delivery keeps that event's place among equal timestamps.
+  const std::uint64_t seq = sim.reserve_seq();
+  if (dir.ring.empty() || arrival >= dir.ring.back().arrival) {
+    const bool idle = dir.ring.empty();
+    dir.ring.push_back(InFlight{arrival, seq, sink, pkt});
+    if (idle) {
+      sim.schedule_reserved(arrival, seq,
+                            [this, &dir]() { deliver_head(dir); });
+    }
+    return;
+  }
+  // Lands before the ring's tail (the fault layer delayed an earlier
+  // frame): the ring would misorder it, so it keeps its own event.
+  auto rec = dir.delivery_pool.acquire();
+  rec->pkt = pkt;
+  rec->sink = sink;
+  sim.schedule_reserved(arrival, seq,
+                        [rec]() { rec->sink->deliver(rec->pkt); });
+}
+
+void Link::deliver_head(Direction& dir) {
+  // Ring blocks never move, so the head stays valid even if delivery
+  // transmits on this link again; it leaves the ring afterwards.
+  const InFlight& head = dir.ring.front();
+  head.sink->deliver(head.pkt);
+  dir.ring.pop_front();
+  if (!dir.ring.empty()) {
+    const InFlight& next = dir.ring.front();
+    dir.sim->schedule_reserved(next.arrival, next.seq,
+                               [this, &dir]() { deliver_head(dir); });
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,9 +59,14 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 /// drop), and optional random loss.
 ///
 /// Two construction modes:
-///  - Classic: both directions schedule on one Simulator and deliver frames
-///    by scheduling directly into it — the original single-threaded path,
-///    byte-identical to its pre-sharding behavior.
+///  - Classic: both directions schedule on one Simulator. Each direction
+///    keeps its frames on the wire in a FIFO ring with one pending delivery
+///    event: propagation is constant per direction, so arrivals are in
+///    transmit order unless the fault layer delays a frame. Each frame
+///    reserves its tie-break sequence at transmit time and the ring head is
+///    scheduled with it, so deliveries pop in exactly the (time, seq) order
+///    one event per frame would give. A frame arriving before the ring's
+///    tail (a reorder or duplicate delay) gets its own event instead.
 ///  - Sharded: each direction lives on its transmitter's shard; deliveries
 ///    (including same-shard ones, so results cannot depend on the partition)
 ///    are buffered in per-direction exchange channels that the engine
@@ -208,6 +214,46 @@ class Link {
     NetDevice* sink = nullptr;
   };
 
+  /// A classic-mode frame on the wire: when it lands, the tie-break
+  /// sequence reserved when it was transmitted, and where it goes.
+  struct InFlight {
+    sim::SimTime arrival = 0;
+    std::uint64_t seq = 0;
+    NetDevice* sink = nullptr;
+    net::Packet pkt;
+  };
+
+  /// FIFO of in-flight frames in a chain of fixed-size blocks. Memory
+  /// follows the number of frames on the wire (no doubling slack, no copy
+  /// on growth), an empty ring owns nothing, and the last drained block is
+  /// kept for reuse, so a steady state allocates nothing.
+  class FrameRing {
+   public:
+    ~FrameRing() {
+      // Unlink block by block: letting head_ destroy the chain would
+      // recurse once per block.
+      while (head_) head_ = std::move(head_->next);
+    }
+    bool empty() const { return size_ == 0; }
+    const InFlight& front() const { return head_->frames[head_pos_]; }
+    const InFlight& back() const { return tail_->frames[tail_pos_ - 1]; }
+    void push_back(const InFlight& frame);
+    void pop_front();
+
+   private:
+    static constexpr std::size_t kBlockFrames = 16;
+    struct Block {
+      InFlight frames[kBlockFrames];
+      std::unique_ptr<Block> next;
+    };
+    std::unique_ptr<Block> head_;  // owns the chain
+    Block* tail_ = nullptr;
+    std::unique_ptr<Block> spare_;
+    std::size_t head_pos_ = 0;  // the front frame's index in head_
+    std::size_t tail_pos_ = 0;  // one past the back frame's index in tail_
+    std::size_t size_ = 0;
+  };
+
   struct Direction {
     Direction(sim::Simulator& simulator, const std::string& n)
         : sim(&simulator), pipe(simulator, n) {}
@@ -225,7 +271,11 @@ class Link {
     fault::FaultInjector own_script;
     obs::TraceSink* trace = nullptr;
     bool use_channel = false;
+    // Classic mode: frames on the wire in arrival order; only the head has
+    // a pending event.
+    FrameRing ring;
     // Classic-mode pools (sharded deliveries use the channel's pool).
+    // delivery_pool backs the per-frame events of out-of-order arrivals.
     sim::Pool<DeliveryRec> delivery_pool;
     sim::Pool<sim::InlineCallback> cont_pool;
   };
@@ -265,6 +315,13 @@ class Link {
     std::vector<Pending> entries_;
     sim::Pool<DeliveryRec> pool_;
   };
+
+  /// Classic mode: books `pkt` to reach `sink` at `arrival`, on the ring
+  /// when it lands no earlier than the ring's tail, else as its own event.
+  void deliver_later(Direction& dir, NetDevice* sink, sim::SimTime arrival,
+                     const net::Packet& pkt);
+  /// The ring's pending event: delivers the head, schedules the next one.
+  void deliver_head(Direction& dir);
 
   LinkSpec spec_;
   std::string name_;

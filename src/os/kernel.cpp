@@ -174,12 +174,13 @@ void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
   // the paper's SMP observation. The per-packet continuations share the
   // pooled batch handle and a pooled Deliver copy (24 bytes of capture —
   // inline, no allocation), instead of the two make_shared the pre-pool
-  // implementation paid per interrupt.
-  const net::PacketBatch& shared = pkts;
+  // implementation paid per interrupt. The handle is captured by value from
+  // the non-const parameter: a copy of a const member would make the lambda
+  // not nothrow-movable, which sends it down InlineCallback's heap path.
   auto cb = deliver_pool_.acquire();
   *cb = std::move(deliver);
-  for (std::size_t i = 0; i < shared->size(); ++i) {
-    const net::Packet& pkt = (*shared)[i];
+  for (std::size_t i = 0; i < pkts->size(); ++i) {
+    const net::Packet& pkt = (*pkts)[i];
     // Host-path fault: no replacement skb for the ring slot — the driver
     // drops the frame and TCP retransmission recovers it. The failed
     // allocation attempt still burns IRQ-CPU time.
@@ -224,7 +225,7 @@ void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
       if (spans_) spans_->abort(pkt);
       continue;
     }
-    irq_cpu().submit(cost, [shared, cb, i]() { (*cb)((*shared)[i]); });
+    irq_cpu().submit(cost, [batch = pkts, cb, i]() { (*cb)((*batch)[i]); });
   }
 }
 
@@ -246,10 +247,14 @@ void Kernel::app_read(std::uint64_t payload_bytes, Done done) {
   const double f = mode_factor();
   const auto fixed =
       static_cast<sim::SimTime>(static_cast<double>(costs_.syscall) * f);
+  // The wakeup continuation would carry the 64-byte Done past the inline
+  // buffer; park it in a pooled node instead (as Link::transmit does).
+  auto parked = done_pool_.acquire();
+  *parked = std::move(done);
   if (config_.header_splitting) {
     // Payload already sits in application memory; the read only returns.
-    sim_.schedule(costs_.wakeup, [this, fixed, done = std::move(done)]() mutable {
-      app_cpu().submit(fixed, std::move(done));
+    sim_.schedule(costs_.wakeup, [this, fixed, parked]() {
+      app_cpu().submit(fixed, std::move(*parked));
     });
     return;
   }
@@ -263,9 +268,8 @@ void Kernel::app_read(std::uint64_t payload_bytes, Done done) {
       costs_.rx_copy_factor);
   // The blocked reader must first be woken and scheduled; that latency is
   // dead time, not CPU load.
-  sim_.schedule(costs_.wakeup, [this, cpu_cost, bus_cost,
-                                done = std::move(done)]() mutable {
-    copy_job(app_cpu(), cpu_cost, bus_cost, std::move(done));
+  sim_.schedule(costs_.wakeup, [this, cpu_cost, bus_cost, parked]() {
+    copy_job(app_cpu(), cpu_cost, bus_cost, std::move(*parked));
   });
 }
 

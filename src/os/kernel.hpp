@@ -147,6 +147,7 @@ class Kernel {
   std::vector<std::unique_ptr<sim::Resource>> cpus_;
   sim::Pool<CopyJoin> join_pool_;
   sim::Pool<Deliver> deliver_pool_;
+  sim::Pool<Done> done_pool_;  // app_read's continuation across the wakeup
   net::PacketBatchPool batch_pool_;  // for the vector convenience overload
   std::uint64_t csum_drops_ = 0;
   fault::HostFaultInjector* host_faults_ = nullptr;

@@ -1,14 +1,16 @@
 // Small-buffer-optimized event callback.
 //
-// Scheduling a simulation event must not allocate: every in-tree capture set
-// on the hot path (timer lambdas capturing `this`, completion continuations
-// capturing a couple of shared_ptrs) fits a 48-byte inline buffer. Larger
-// callables still work through a heap fallback, so the type is a drop-in
-// replacement for std::function<void()> at the scheduling boundary — with
-// two deliberate differences: it is move-only (so it can hold move-only
-// captures, e.g. a continuation that owns another InlineCallback), and
-// invoking an empty callback is a no-op contractually guarded by callers
-// (the simulator tests with operator bool before dispatch).
+// Scheduling a simulation event should not allocate: hot-path capture sets
+// (timer lambdas capturing `this`, completion continuations holding a pooled
+// handle or two) fit a 48-byte inline buffer, and Simulator::heap_fallbacks()
+// counts the scheduled callbacks that do not, so tests can pin the hot paths
+// at zero. Larger callables still work through a heap fallback, so the type
+// is a drop-in replacement for std::function<void()> at the scheduling
+// boundary — with two deliberate differences: it is move-only (so it can
+// hold move-only captures, e.g. a continuation that owns another
+// InlineCallback), and invoking an empty callback is a no-op contractually
+// guarded by callers (the simulator tests with operator bool before
+// dispatch).
 #pragma once
 
 #include <cstddef>
@@ -42,13 +44,11 @@ class InlineCallback {
   InlineCallback(F&& f) {
     if constexpr (fits_inline<F>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      invoke_ = &invoke_inline<D>;
-      manage_ = &manage_inline<D>;
+      ops_ = &kInlineOps<D>;
     } else {
       D* p = new D(std::forward<F>(f));
       std::memcpy(storage_, &p, sizeof(p));
-      invoke_ = &invoke_heap<D>;
-      manage_ = &manage_heap<D>;
+      ops_ = &kHeapOps<D>;
     }
   }
 
@@ -71,16 +71,27 @@ class InlineCallback {
   ~InlineCallback() { reset(); }
 
   /// Precondition: non-empty.
-  void operator()() { invoke_(storage_); }
+  void operator()() { ops_->invoke(storage_); }
 
-  explicit operator bool() const { return invoke_ != nullptr; }
+  explicit operator bool() const { return ops_ != nullptr; }
+
+  /// True when the held callable took the heap fallback (it allocated).
+  /// The simulator counts these per scheduled event (heap_fallbacks()).
+  bool on_heap() const { return ops_ != nullptr && ops_->heap; }
 
  private:
   using Invoke = void (*)(void*);
   // Moves the callable from `src` into `dst` (raw storage), or destroys it
   // when `dst` is null. After a move the source is dead; the caller clears
-  // its function pointers instead of destroying again.
+  // its ops pointer instead of destroying again.
   using Manage = void (*)(void* src, void* dst);
+  // One static table per stored type, so the object carries a single
+  // pointer next to its buffer and stays 64 bytes.
+  struct Ops {
+    Invoke invoke;
+    Manage manage;
+    bool heap;
+  };
 
   template <typename D>
   static void invoke_inline(void* s) {
@@ -109,23 +120,24 @@ class InlineCallback {
     }
   }
 
+  template <typename D>
+  static constexpr Ops kInlineOps{&invoke_inline<D>, &manage_inline<D>, false};
+  template <typename D>
+  static constexpr Ops kHeapOps{&invoke_heap<D>, &manage_heap<D>, true};
+
   void steal(InlineCallback& other) noexcept {
-    invoke_ = other.invoke_;
-    manage_ = other.manage_;
-    if (manage_ != nullptr) manage_(other.storage_, storage_);
-    other.invoke_ = nullptr;
-    other.manage_ = nullptr;
+    ops_ = other.ops_;
+    if (ops_ != nullptr) ops_->manage(other.storage_, storage_);
+    other.ops_ = nullptr;
   }
 
   void reset() {
-    if (manage_ != nullptr) manage_(storage_, nullptr);
-    invoke_ = nullptr;
-    manage_ = nullptr;
+    if (ops_ != nullptr) ops_->manage(storage_, nullptr);
+    ops_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
+  const Ops* ops_ = nullptr;
 };
 
 }  // namespace xgbe::sim

@@ -5,20 +5,25 @@
 
 namespace xgbe::sim {
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
-  const std::uint64_t seq = next_seq_++;
+EventId EventQueue::schedule(SimTime at, std::uint64_t seq, Callback cb) {
+  assert(seq < next_seq_);
+  if (cb.on_heap()) ++heap_fallbacks_;
   const auto pos = static_cast<std::uint32_t>(heap_.size());
-  const std::uint32_t h = acquire_handle(pos);
-  heap_.push_back(Entry{at, seq, h, std::move(cb)});
-  sift_up(heap_.size() - 1);
-  return EventId{h, handles_[h].gen};
+  const std::uint32_t s = acquire_slot(pos);
+  callbacks_[s] = std::move(cb);
+  heap_.push_back(Key{at, seq, s});
+  sift_up(pos);
+  return EventId{s, slots_[s].gen};
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id.slot >= handles_.size()) return;
-  const HandleRec rec = handles_[id.slot];
+  if (id.slot >= slots_.size()) return;
+  const Slot rec = slots_[id.slot];
   if (rec.gen != id.gen || rec.pos == kFreePos) return;
-  release_handle(id.slot);
+  // Destroy the captures only once the heap is consistent again, in case a
+  // capture's destructor reaches back into the queue.
+  Callback dead = std::move(callbacks_[id.slot]);
+  release_slot(id.slot);
   remove_at(rec.pos);
 }
 
@@ -29,64 +34,59 @@ SimTime EventQueue::next_time() const {
 
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
-  Entry& root = heap_.front();
-  Fired fired{root.time, std::move(root.cb)};
-  release_handle(root.handle);
+  const Key root = heap_.front();
+  Fired fired{root.time, std::move(callbacks_[root.slot])};
+  release_slot(root.slot);
   remove_at(0);
   return fired;
 }
 
-std::uint32_t EventQueue::acquire_handle(std::uint32_t pos) {
-  if (!free_handles_.empty()) {
-    const std::uint32_t h = free_handles_.back();
-    free_handles_.pop_back();
-    handles_[h].pos = pos;
-    return h;
+std::uint32_t EventQueue::acquire_slot(std::uint32_t pos) {
+  if (!free_slots_.empty()) {
+    const std::uint32_t s = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[s].pos = pos;
+    return s;
   }
   // Generations start at 1 so a default-constructed EventId (gen 0) can
-  // never match a live handle.
-  handles_.push_back(HandleRec{pos, 1});
-  return static_cast<std::uint32_t>(handles_.size() - 1);
+  // never match a live slot.
+  slots_.push_back(Slot{pos, 1});
+  callbacks_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void EventQueue::release_handle(std::uint32_t h) {
-  handles_[h].pos = kFreePos;
-  ++handles_[h].gen;  // invalidates every outstanding EventId for this slot
-  free_handles_.push_back(h);
+void EventQueue::release_slot(std::uint32_t s) {
+  slots_[s].pos = kFreePos;
+  ++slots_[s].gen;  // invalidates every outstanding EventId for this slot
+  free_slots_.push_back(s);
 }
 
 void EventQueue::remove_at(std::size_t i) {
-  const std::size_t last = heap_.size() - 1;
-  if (i != last) {
-    heap_[i] = std::move(heap_[last]);
-    handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
-    heap_.pop_back();
-    if (i > 0 && before(heap_[i], heap_[(i - 1) / kArity])) {
-      sift_up(i);
-    } else {
-      sift_down(i);
-    }
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  place(i, last);
+  if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
+    sift_up(i);
   } else {
-    heap_.pop_back();
+    sift_down(i);
   }
 }
 
 void EventQueue::sift_up(std::size_t i) {
-  Entry e = std::move(heap_[i]);
+  const Key k = heap_[i];
   while (i > 0) {
     const std::size_t p = (i - 1) / kArity;
-    if (!before(e, heap_[p])) break;
-    heap_[i] = std::move(heap_[p]);
-    handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+    if (!before(k, heap_[p])) break;
+    place(i, heap_[p]);
     i = p;
   }
-  heap_[i] = std::move(e);
-  handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+  place(i, k);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  Entry e = std::move(heap_[i]);
+  const Key k = heap_[i];
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
@@ -95,13 +95,11 @@ void EventQueue::sift_down(std::size_t i) {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], e)) break;
-    heap_[i] = std::move(heap_[best]);
-    handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+    if (!before(heap_[best], k)) break;
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = std::move(e);
-  handles_[heap_[i].handle].pos = static_cast<std::uint32_t>(i);
+  place(i, k);
 }
 
 }  // namespace xgbe::sim

@@ -55,6 +55,19 @@ class Simulator {
     return queue_.schedule(at < now_ ? now_ : at, std::move(cb));
   }
 
+  /// Takes the tie-break sequence an event scheduled right now would get,
+  /// without scheduling one. A later schedule_reserved() with it orders the
+  /// event exactly as if it had been scheduled at reservation time.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// Schedules `cb` at absolute time `at` (clamped to `now()`) with a
+  /// sequence from reserve_seq(). Each reserved sequence is used at most
+  /// once.
+  EventId schedule_reserved(SimTime at, std::uint64_t seq,
+                            EventQueue::Callback cb) {
+    return queue_.schedule(at < now_ ? now_ : at, seq, std::move(cb));
+  }
+
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Runs until the event set drains or stop() is called.
@@ -72,6 +85,11 @@ class Simulator {
 
   /// Number of events executed so far (diagnostic / test hook).
   std::uint64_t executed_events() const { return executed_; }
+
+  /// Scheduled callbacks that took InlineCallback's heap fallback (too
+  /// large, or not nothrow-movable), each of which allocated.
+  /// Deterministic; tests pin the hot paths at 0.
+  std::uint64_t heap_fallbacks() const { return queue_.heap_fallbacks(); }
 
   /// True while events remain scheduled.
   bool has_pending() const { return !queue_.empty(); }

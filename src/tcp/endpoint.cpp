@@ -130,6 +130,7 @@ void Endpoint::enter_closed(CloseReason reason) {
   // queue, so clearing here is safe even mid-write.
   unsent_.clear();
   retx_q_.clear();
+  flight_pkts_ = 0;
   pending_writes_.clear();
   txbuf_.release(txbuf_.wmem_alloc());
   if (close_hook_) close_hook_();
@@ -371,6 +372,7 @@ void Endpoint::on_persist_timeout() {
   send_segment(probe, /*retransmission=*/false);
   snd_nxt_ += 1;
   retx_q_.push_back(probe);
+  flight_pkts_ += probe.packets;
   ++stats_.window_probes;
   ++persist_backoff_;
   arm_persist_timer();
@@ -520,19 +522,13 @@ void Endpoint::enqueue_record(std::uint32_t bytes) {
 
 // --- Sender -----------------------------------------------------------------
 
-std::uint32_t Endpoint::flight_packets() const {
-  std::uint32_t n = 0;
-  for (const auto& seg : retx_q_) n += seg.packets;
-  return n;
-}
-
 void Endpoint::try_send() {
   if (!can_carry_data()) return;
   while (!unsent_.empty()) {
     TxSegment& seg = unsent_.front();
-    const std::uint32_t fp = flight_packets();
-    const std::uint32_t budget =
-        cc_->usable_cwnd() > fp ? cc_->usable_cwnd() - fp : 0;
+    const std::uint32_t budget = cc_->usable_cwnd() > flight_pkts_
+                                     ? cc_->usable_cwnd() - flight_pkts_
+                                     : 0;
     if (budget == 0) break;
     if (seg.packets > budget) {
       // A TSO super-segment larger than the congestion window: send what
@@ -571,6 +567,7 @@ void Endpoint::try_send() {
     send_segment(seg, /*retransmission=*/false);
     snd_nxt_ += seg.len;
     retx_q_.push_back(seg);
+    flight_pkts_ += seg.packets;
     unsent_.pop_front();
   }
   maybe_send_fin();
@@ -692,7 +689,7 @@ void Endpoint::on_rto() {
     ev.where = "tcp";
     trace_->record(ev);
   }
-  cc_->on_timeout(flight_packets());
+  cc_->on_timeout(flight_pkts_);
   rtt_.backoff();
   dupacks_ = 0;
   retransmit_head();
@@ -720,6 +717,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
            net::seq_le(retx_q_.front().seq + retx_q_.front().len, ack)) {
       const TxSegment& seg = retx_q_.front();
       acked_segments += seg.packets;
+      flight_pkts_ -= seg.packets;
       freed_truesize += seg.truesize;
       stats_.bytes_acked += seg.len;
       if (!seg.retransmitted && !rtt_sampled && !ts_on_) {
@@ -740,6 +738,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
       f.packets = (f.len + snd_mss_payload_ - 1) / snd_mss_payload_;
       f.truesize = record_truesize(f.len);
       acked_segments += old_packets - f.packets;
+      flight_pkts_ -= old_packets - f.packets;
       freed_truesize += old_truesize > f.truesize
                             ? old_truesize - f.truesize
                             : 0;
@@ -834,7 +833,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
         trace_->record(ev);
       }
       recover_ = snd_nxt_;
-      cc_->on_fast_retransmit(flight_packets());
+      cc_->on_fast_retransmit(flight_pkts_);
       retransmit_head();
       cancel_rto();
       arm_rto();
@@ -1030,6 +1029,13 @@ void Endpoint::maybe_window_update() {
 // --- Invariants -------------------------------------------------------------
 
 std::string Endpoint::invariant_violation() const {
+  // The cached flight size must equal a full recount in every state.
+  std::uint32_t recount = 0;
+  for (const TxSegment& seg : retx_q_) recount += seg.packets;
+  if (recount != flight_pkts_) {
+    return "cached flight " + std::to_string(flight_pkts_) +
+           " packets != retransmission queue's " + std::to_string(recount);
+  }
   // Pre-sequence-space states have nothing to check yet.
   if (state_ == TcpState::kClosed || state_ == TcpState::kListen ||
       state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {

@@ -289,7 +289,6 @@ class Endpoint {
   void try_send();
   void send_segment(TxSegment& seg, bool retransmission);
   void retransmit_head();
-  std::uint32_t flight_packets() const;
   void arm_rto();
   void cancel_rto();
   void on_rto();
@@ -350,6 +349,10 @@ class Endpoint {
   bool cwr_pending_ = false;  // set CWR on the next outgoing data segment
   std::deque<TxSegment> unsent_;
   std::deque<TxSegment> retx_q_;
+  // Sum of retx_q_'s `packets`, kept in step with every push, pop, trim and
+  // clear so the send loop reads it in O(1); invariant_violation() checks it
+  // against a recount.
+  std::uint32_t flight_pkts_ = 0;
   os::TxSocketBuffer txbuf_;
   std::uint32_t dupacks_ = 0;
   net::Seq recover_ = 0;

@@ -7,6 +7,7 @@
 
 #include "core/testbed.hpp"
 #include "link/wan.hpp"
+#include "obs/span.hpp"
 #include "tools/iperf.hpp"
 #include "tools/netpipe.hpp"
 #include "tools/nttcp.hpp"
@@ -331,6 +332,55 @@ TEST(Netpipe, LatencyGrowsWithPayload) {
   }
   // Paper Fig 6: ~20% growth from 1 byte to 1 KB.
   EXPECT_LT(prev, 30.0);
+}
+
+// Every scheduled callback too large for InlineCallback's inline buffer
+// allocates once per event. The fig6 NetPIPE point through the switch (span
+// profiler armed, as the bench runs it) and a short land-speed-record run
+// cover the switch, link, NIC, kernel and TCP hot paths; none may allocate.
+TEST(HeapFallbacks, Fig6NetpipePointStaysInline) {
+  core::Testbed tb;
+  obs::SpanProfiler spans;
+  tb.set_span_profiler(&spans);
+  auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  auto& sw = tb.add_switch();
+  tb.connect_to_switch(a, sw);
+  tb.connect_to_switch(b, sw);
+  auto cfg = tools::netpipe_config(a.endpoint_config());
+  auto conn = tb.open_connection(a, b, cfg, cfg);
+  tools::NetpipeOptions opt;
+  opt.payload = 1024;
+  opt.iterations = 60;
+  opt.spans = &spans;
+  const auto r = tools::run_netpipe(tb, conn, opt);
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(tb.simulator().executed_events(), 1000u);
+  EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
+}
+
+TEST(HeapFallbacks, ShortLandSpeedRecordRunStaysInline) {
+  core::Testbed tb;
+  auto tuning = core::TuningProfile::wan(80u * 1024 * 1024);
+  auto& a = tb.add_host("sv", hw::presets::wan_endpoint(), tuning);
+  auto& b = tb.add_host("ge", hw::presets::wan_endpoint(), tuning);
+  tb.build_wan_path(
+      a, b,
+      {link::wan::oc192_pos(link::wan::kSunnyvaleChicagoKm, 64u << 20),
+       link::wan::oc48_pos(link::wan::kChicagoGenevaKm, 64u << 20)},
+      link::wan::router_spec());
+  auto cfg = tools::iperf_config(a.endpoint_config());
+  cfg.read_chunk = 1 << 20;
+  auto conn = tb.open_connection(a, b, cfg, cfg);
+  tools::IperfOptions opt;
+  opt.write_size = 256 * 1024;
+  opt.warmup = sim::sec(2);
+  opt.duration = sim::msec(500);
+  const auto r = tools::run_iperf(tb, conn, a, b, opt);
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(tb.simulator().executed_events(), 100000u);
+  EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Unit tests for links, the switch, and WAN circuit presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
 #include "link/switch.hpp"
@@ -113,6 +116,83 @@ TEST(Link, RandomLossDeterministicPerSeed) {
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NEAR(static_cast<double>(run_once(5)), 100.0, 40.0);
+}
+
+// A classic link keeps each direction's frames in a FIFO ring with one
+// pending delivery event; a frame landing before the ring's tail (a reorder
+// or duplicate delay) takes its own event instead. Here every frame
+// serializes in 10 ps and the fault delays are 1-40 ps, so delayed frames,
+// duplicates and their successors interleave and often tie. Delivery must
+// still follow (arrival, transmit order) — which a second injector with the
+// same plan reproduces — with one event per delivered copy and no frame
+// lost or invented.
+TEST(Link, ReorderAndDuplicateKeepArrivalThenTransmitOrder) {
+  const net::Packet proto = tcp_frame(100);
+  constexpr sim::SimTime kSer = 10;
+  LinkSpec spec;
+  spec.rate_bps = static_cast<double>(proto.wire_bytes()) * 8.0 * 1e12 /
+                  static_cast<double>(kSer);
+  spec.propagation = sim::nsec(1);
+  fault::FaultPlan plan;
+  plan.with_seed(99).with_duplication(0.2).with_reordering(0.3, 40);
+
+  sim::Simulator s;
+  Link l(s, spec, "x");
+  ASSERT_EQ(l.serialization_time(proto), kSer);
+  l.set_fault_plan(plan, /*from_a=*/true);
+  SinkDevice a, b;
+  l.attach_a(&a);
+  l.attach_b(&b);
+  std::vector<std::pair<sim::SimTime, net::Seq>> got;
+  b.on_deliver = [&](const net::Packet& p) {
+    got.emplace_back(s.now(), p.tcp.seq);
+  };
+
+  constexpr int kFrames = 2000;
+  fault::FaultInjector replay(plan);
+  // (arrival, transmit order, copy) for every expected delivery.
+  std::vector<std::tuple<sim::SimTime, int, int>> want;
+  sim::SimTime tail = 0;
+  int behind_tail = 0;
+  for (int k = 0; k < kFrames; ++k) {
+    net::Packet p = proto;
+    p.tcp.seq = static_cast<net::Seq>(k);
+    const fault::FaultDecision d = replay.decide(p, 0);
+    const sim::SimTime arrival =
+        (k + 1) * kSer + spec.propagation + d.extra_delay;
+    want.emplace_back(arrival, k, 0);
+    if (d.duplicate) want.emplace_back(arrival + d.duplicate_delay, k, 1);
+    if (arrival < tail) ++behind_tail;
+    tail = std::max(tail, arrival);
+    l.transmit(&a, p);
+  }
+  s.run();
+  std::sort(want.begin(), want.end());
+
+  // The plan really exercises both delivery paths and equal timestamps.
+  EXPECT_GT(behind_tail, 100);
+  int ties = 0;
+  for (std::size_t i = 1; i < want.size(); ++i) {
+    if (std::get<0>(want[i]) == std::get<0>(want[i - 1])) ++ties;
+  }
+  EXPECT_GT(ties, 50);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].first, std::get<0>(want[i])) << "delivery " << i;
+    ASSERT_EQ(got[i].second, static_cast<net::Seq>(std::get<1>(want[i])))
+        << "delivery " << i;
+  }
+
+  // Ledger: every offered frame delivered once, plus one extra copy per
+  // duplicate; nothing dropped; one event per serialization and per copy.
+  const fault::FaultCounters faults = l.fault_counters();
+  EXPECT_EQ(faults.duplicates, replay.counters().duplicates);
+  EXPECT_EQ(faults.reorders, replay.counters().reorders);
+  EXPECT_EQ(l.frames_delivered(true), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(l.drops_queue() + l.drops_forced() + l.drops_random(), 0u);
+  EXPECT_EQ(got.size(), kFrames + faults.duplicates);
+  EXPECT_EQ(s.executed_events(), 2 * kFrames + faults.duplicates);
 }
 
 TEST(Link, PosFramingReplacesEthernet) {

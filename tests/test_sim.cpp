@@ -8,6 +8,7 @@
 
 #include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -70,6 +71,22 @@ TEST(InlineCallback, HotPathCaptureSetsStayInline) {
   static_assert(InlineCallback::fits_inline<decltype(continuation)>());
   auto three = [sp1, sp2, i = std::size_t{0}]() mutable { *sp2 += (int)i++; };
   static_assert(InlineCallback::fits_inline<decltype(three)>());
+}
+
+TEST(InlineCallback, ConstCapturedPoolHandleTakesTheHeapPath) {
+  // Copy-capturing a const handle makes a const member, which moves by
+  // copy — and Pool::Handle's copy is not noexcept, so the lambda is not
+  // nothrow-movable and allocates despite its 8-byte size. An init-capture
+  // deduces a non-const member and stays inline.
+  Pool<int> pool;
+  const Pool<int>::Handle handle = pool.acquire();
+  auto by_const = [handle] { ++*handle; };
+  static_assert(sizeof(by_const) <= InlineCallback::kInlineBytes);
+  static_assert(!InlineCallback::fits_inline<decltype(by_const)>());
+  EXPECT_TRUE(InlineCallback(by_const).on_heap());
+  auto by_value = [h = handle] { ++*h; };
+  static_assert(InlineCallback::fits_inline<decltype(by_value)>());
+  EXPECT_FALSE(InlineCallback(by_value).on_heap());
 }
 
 TEST(InlineCallback, MoveTransfersOwnership) {
@@ -243,6 +260,22 @@ TEST(Simulator, StopHaltsExecution) {
   EXPECT_EQ(fired, 1);
   s.run();  // resumes
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, CountsHeapFallbackCallbacks) {
+  Simulator s;
+  struct Big {
+    char bytes[200];
+  };
+  const Big big{};
+  int hits = 0;
+  s.schedule(1, [&hits] { ++hits; });
+  EXPECT_EQ(s.heap_fallbacks(), 0u);
+  s.schedule(2, [big, &hits] { hits += 1 + big.bytes[0]; });
+  EXPECT_EQ(s.heap_fallbacks(), 1u);
+  s.run();
+  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(s.heap_fallbacks(), 1u);  // counts schedules, not live events
 }
 
 TEST(Simulator, NegativeDelayClampsToNow) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/testbed.hpp"
 #include "tools/nttcp.hpp"
@@ -251,6 +253,114 @@ TEST(Tso, OffloadReducesSenderSegmentWork) {
   // transmitting systems, and in many cases, will increase throughput").
   EXPECT_LT(with.sender_load, without.sender_load);
   EXPECT_GE(with.throughput_bps, without.throughput_bps * 0.95);
+}
+
+// Recounts every endpoint's invariants at a fixed sim-time cadence. A time
+// hook fires between events and schedules nothing, so checking perturbs
+// nothing.
+class InvariantProbe : public sim::TimeHook {
+ public:
+  InvariantProbe(std::vector<const tcp::Endpoint*> endpoints,
+                 sim::SimTime start, sim::SimTime period)
+      : endpoints_(std::move(endpoints)), next_(start), period_(period) {}
+  sim::SimTime due() const override { return next_; }
+  void advance(sim::SimTime at) override {
+    ++checks;
+    for (const tcp::Endpoint* ep : endpoints_) {
+      const std::string v = ep->invariant_violation();
+      if (!v.empty() && first_violation.empty()) first_violation = v;
+    }
+    next_ = at + period_;
+  }
+  std::uint64_t checks = 0;
+  std::string first_violation;
+
+ private:
+  std::vector<const tcp::Endpoint*> endpoints_;
+  sim::SimTime next_;
+  sim::SimTime period_;
+};
+
+// The sender caches its flight size (the packets in its retransmission
+// queue); invariant_violation() recounts the queue and reports any drift.
+// Walk one TSO connection through every path that edits the queue — the
+// partial-ACK trim of a super-segment, a fast retransmit, an RTO, a persist
+// probe and an abort — and check the cache between every few events.
+TEST(FlightCache, MatchesRecountThroughEveryQueueEdit) {
+  core::TuningProfile tuning = core::TuningProfile::lan_tuned(9000);
+  tuning.tso = true;
+  core::Testbed tb;
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  link::Link& wire = tb.connect(a, b);
+  auto cfg = a.endpoint_config();
+  cfg.push_per_write = false;  // 64 KB writes become TSO super-segments
+  auto conn = tb.open_connection(a, b, cfg, b.endpoint_config());
+  ASSERT_TRUE(tb.run_until_established(conn));
+  tcp::Endpoint& client = *conn.client;
+  InvariantProbe probe({conn.client, conn.server}, tb.now(), sim::usec(5));
+  tb.simulator().set_time_hook(&probe);
+  const auto step_ok = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(probe.first_violation, "");
+    EXPECT_EQ(client.invariant_violation(), "");
+    EXPECT_EQ(conn.server->invariant_violation(), "");
+  };
+
+  std::uint64_t written = 0;
+  const auto send = [&](int writes, std::uint32_t bytes) {
+    for (int i = 0; i < writes; ++i) client.app_send(bytes, nullptr);
+    written += static_cast<std::uint64_t>(writes) * bytes;
+  };
+  // Runs until everything written so far is acknowledged.
+  const auto drain = [&] {
+    for (int ms = 0; ms < 5000 && client.stats().bytes_acked < written;
+         ++ms) {
+      tb.run_for(sim::msec(1));
+    }
+    ASSERT_EQ(client.stats().bytes_acked, written);
+  };
+
+  // TSO: each super-segment spans ~7 MSS and the receiver ACKs every two
+  // frames, so most ACKs land inside a super-segment and trim it.
+  send(16, 65536);
+  tb.run_for(sim::usec(500));
+  EXPECT_GT(client.unacked_segments(), 0u);
+  drain();
+  step_ok("tso partial-ack trim");
+
+  // One lost frame mid-stream: duplicate ACKs, then a fast retransmit.
+  wire.inject_drops(1);
+  send(16, 65536);
+  drain();
+  EXPECT_GT(client.stats().fast_retransmits, 0u);
+  step_ok("fast retransmit");
+
+  // A lone segment lost with nothing behind it draws no duplicate ACKs:
+  // only the retransmission timer recovers it.
+  wire.inject_drops(1);
+  send(1, 1000);
+  drain();
+  EXPECT_GT(client.stats().timeouts, 0u);
+  step_ok("rto");
+
+  // A stalled reader closes the window; the sender probes it.
+  conn.server->set_app_reader(false);
+  send(64, 65536);
+  tb.run_for(sim::sec(2));
+  EXPECT_GT(client.stats().window_probes, 0u);
+  step_ok("persist probe");
+
+  // Tearing down with data in flight empties the queue and the cache.
+  conn.server->set_app_reader(true);
+  tb.run_for(sim::usec(200));
+  ASSERT_GT(client.unacked_segments(), 0u);
+  client.abort();
+  EXPECT_EQ(client.unacked_segments(), 0u);
+  tb.run_for(sim::msec(1));
+  step_ok("abort");
+  EXPECT_GT(probe.checks, 1000u);
+  tb.simulator().set_time_hook(nullptr);
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
