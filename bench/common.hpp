@@ -512,6 +512,7 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
   for (int i = 1; i < streams; ++i) {
     extra.push_back(tb.open_connection(a, b, cfg, cfg));
   }
+  std::vector<std::shared_ptr<std::function<void()>>> writers;
   for (auto& e : extra) {
     tb.run_until_established(e);
     e.server->on_consumed = [consumed_extra](std::uint64_t bytes) {
@@ -523,6 +524,7 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
       client->app_send(262144, [writer]() { (*writer)(); });
     };
     (*writer)();
+    writers.push_back(std::move(writer));
   }
   tools::IperfOptions opt;
   opt.write_size = 256 * 1024;
@@ -546,6 +548,8 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
     run.retransmits += e.client->stats().retransmits;
     e.server->on_consumed = nullptr;
   }
+  // Each writer captures itself; break the cycles now that the run is over.
+  for (auto& writer : writers) *writer = nullptr;
   run.rtt_ms = sim::to_microseconds(conn.client->srtt()) / 1e3;
   // The sampler's probes point at endpoints owned by this testbed; stop it
   // here so its timer (and any future tick) dies with the run.

@@ -25,10 +25,11 @@ struct IntegrityResult {
   bool stream_intact = false;  // fault::verify_stream_integrity verdict
 };
 
-IntegrityResult run(double corruption_rate, bool csum_offload) {
+// `rate_e4` is the per-frame corruption rate in units of 1e-4.
+IntegrityResult run(std::int64_t rate_e4, bool csum_offload) {
   xgbe::core::Testbed tb;
   auto tuning = xgbe::core::TuningProfile::lan_tuned(9000);
-  tuning.rx_corruption_rate = corruption_rate;
+  tuning.rx_corruption_rate = static_cast<double>(rate_e4) * 1e-4;
   tuning.csum_offload = csum_offload;
   auto& a = tb.add_host("a", xgbe::hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", xgbe::hw::presets::pe2650(), tuning);
@@ -53,26 +54,32 @@ IntegrityResult run(double corruption_rate, bool csum_offload) {
       static_cast<std::uint64_t>(opt.payload) * opt.count,
       /*checksums_on=*/!csum_offload);
   out.stream_intact = verdict.ok;
+  xgbe::bench::maybe_snapshot(
+      xgbe::bench::point_name(
+          "integrity", {{"rate_e-4", rate_e4}, {"offload", csum_offload ? 1 : 0}}),
+      tb);
   return out;
 }
 
 void Integrity_AdapterChecksum(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0)) * 1e-4;
   IntegrityResult r;
   for (auto _ : state) {
-    r = run(rate, /*csum_offload=*/true);
+    r = run(state.range(0), /*csum_offload=*/true);
   }
   state.counters["Gb/s"] = r.gbps;
   state.counters["silent_corruptions"] =
       static_cast<double>(r.silent_corruptions);
   state.counters["detected"] = static_cast<double>(r.detected_drops);
+  xgbe::bench::log_point(
+      state, xgbe::bench::point_name(
+                 "Integrity_AdapterChecksum",
+                 {{"rate_e-4", state.range(0)}}));
 }
 
 void Integrity_HostChecksum(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0)) * 1e-4;
   IntegrityResult r;
   for (auto _ : state) {
-    r = run(rate, /*csum_offload=*/false);
+    r = run(state.range(0), /*csum_offload=*/false);
   }
   state.counters["Gb/s"] = r.gbps;
   state.counters["silent_corruptions"] =
@@ -81,6 +88,10 @@ void Integrity_HostChecksum(benchmark::State& state) {
   state.counters["retransmits"] = static_cast<double>(r.retransmits);
   state.counters["cpu_rx"] = r.cpu_rx;
   state.counters["stream_intact"] = r.stream_intact ? 1.0 : 0.0;
+  xgbe::bench::log_point(
+      state, xgbe::bench::point_name(
+                 "Integrity_HostChecksum",
+                 {{"rate_e-4", state.range(0)}}));
 }
 
 }  // namespace
@@ -102,4 +113,4 @@ BENCHMARK(Integrity_HostChecksum)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-BENCHMARK_MAIN();
+XGBE_BENCH_MAIN();

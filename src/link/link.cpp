@@ -239,30 +239,6 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
   }
 }
 
-void Link::FrameRing::push_back(const InFlight& frame) {
-  if (tail_ == nullptr || tail_pos_ == kBlockFrames) {
-    std::unique_ptr<Block> block =
-        spare_ ? std::move(spare_) : std::make_unique<Block>();
-    Block* raw = block.get();
-    (tail_ == nullptr ? head_ : tail_->next) = std::move(block);
-    tail_ = raw;
-    tail_pos_ = 0;
-  }
-  tail_->frames[tail_pos_++] = frame;
-  ++size_;
-}
-
-void Link::FrameRing::pop_front() {
-  --size_;
-  if (++head_pos_ == kBlockFrames) {
-    std::unique_ptr<Block> next = std::move(head_->next);
-    spare_ = std::move(head_);
-    head_ = std::move(next);
-    if (head_ == nullptr) tail_ = nullptr;
-    head_pos_ = 0;
-  }
-}
-
 void Link::deliver_later(Direction& dir, NetDevice* sink,
                          sim::SimTime arrival, const net::Packet& pkt) {
   sim::Simulator& sim = *dir.sim;

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "net/packet.hpp"
+#include "sim/block_fifo.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
@@ -223,37 +223,6 @@ class Link {
     net::Packet pkt;
   };
 
-  /// FIFO of in-flight frames in a chain of fixed-size blocks. Memory
-  /// follows the number of frames on the wire (no doubling slack, no copy
-  /// on growth), an empty ring owns nothing, and the last drained block is
-  /// kept for reuse, so a steady state allocates nothing.
-  class FrameRing {
-   public:
-    ~FrameRing() {
-      // Unlink block by block: letting head_ destroy the chain would
-      // recurse once per block.
-      while (head_) head_ = std::move(head_->next);
-    }
-    bool empty() const { return size_ == 0; }
-    const InFlight& front() const { return head_->frames[head_pos_]; }
-    const InFlight& back() const { return tail_->frames[tail_pos_ - 1]; }
-    void push_back(const InFlight& frame);
-    void pop_front();
-
-   private:
-    static constexpr std::size_t kBlockFrames = 16;
-    struct Block {
-      InFlight frames[kBlockFrames];
-      std::unique_ptr<Block> next;
-    };
-    std::unique_ptr<Block> head_;  // owns the chain
-    Block* tail_ = nullptr;
-    std::unique_ptr<Block> spare_;
-    std::size_t head_pos_ = 0;  // the front frame's index in head_
-    std::size_t tail_pos_ = 0;  // one past the back frame's index in tail_
-    std::size_t size_ = 0;
-  };
-
   struct Direction {
     Direction(sim::Simulator& simulator, const std::string& n)
         : sim(&simulator), pipe(simulator, n) {}
@@ -273,7 +242,7 @@ class Link {
     bool use_channel = false;
     // Classic mode: frames on the wire in arrival order; only the head has
     // a pending event.
-    FrameRing ring;
+    sim::BlockFifo<InFlight> ring;
     // Classic-mode pools (sharded deliveries use the channel's pool).
     // delivery_pool backs the per-frame events of out-of-order arrivals.
     sim::Pool<DeliveryRec> delivery_pool;

@@ -7,7 +7,7 @@ namespace xgbe::sim {
 
 EventId EventQueue::schedule(SimTime at, std::uint64_t seq, Callback cb) {
   assert(seq < next_seq_);
-  if (cb.on_heap()) ++heap_fallbacks_;
+  count_heap_fallback(cb);
   const auto pos = static_cast<std::uint32_t>(heap_.size());
   const std::uint32_t s = acquire_slot(pos);
   callbacks_[s] = std::move(cb);

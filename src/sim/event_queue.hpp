@@ -71,6 +71,11 @@ class EventQueue {
   /// one allocated). Deterministic, so tests can gate it.
   std::uint64_t heap_fallbacks() const { return heap_fallbacks_; }
 
+  /// Counts `cb` in heap_fallbacks() if it took the heap fallback.
+  void count_heap_fallback(const Callback& cb) {
+    if (cb.on_heap()) ++heap_fallbacks_;
+  }
+
  private:
   struct Key {
     SimTime time;

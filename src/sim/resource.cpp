@@ -2,17 +2,50 @@
 
 namespace xgbe::sim {
 
+Resource::~Resource() {
+  // The head's event captures this Resource.
+  if (queue_ && !queue_->jobs.empty()) sim_.cancel(queue_->head_event);
+}
+
 SimTime Resource::submit(SimTime cost, InlineCallback done) {
   if (cost < 0) cost = 0;
+  const bool waits = !idle();
   const SimTime start = available_at();
   const SimTime finish = start + cost;
   busy_until_ = finish;
   busy_accum_ += cost;
   ++jobs_;
-  // Always schedule the completion event (even without a callback) so the
-  // simulation clock covers all resource activity.
-  sim_.schedule_at(finish, std::move(done));
+  if (!waits) {
+    // Nothing to wait behind: the completion is the job's own event. Jobs
+    // still queued here all finish by now, so they pop first either way.
+    sim_.schedule_at(finish, std::move(done));
+    return finish;
+  }
+  // The job waits here instead of in the event set, so count an allocating
+  // callback as if it had been scheduled directly.
+  sim_.count_heap_fallback(done);
+  // Reserved now, where the job's own event would have been scheduled.
+  const std::uint64_t seq = sim_.reserve_seq();
+  if (!queue_) queue_ = std::make_unique<Queue>();
+  const bool was_empty = queue_->jobs.empty();
+  queue_->jobs.push_back(Job{finish, seq, std::move(done)});
+  if (was_empty) schedule_head();
   return finish;
+}
+
+void Resource::schedule_head() {
+  const Job& head = queue_->jobs.front();
+  queue_->head_event =
+      sim_.schedule_reserved(head.finish, head.seq, [this] { complete(); });
+}
+
+void Resource::complete() {
+  // Advance before running: the continuation may submit here again, and
+  // must find the next head already scheduled (or the queue empty).
+  InlineCallback done = std::move(queue_->jobs.front().done);
+  queue_->jobs.pop_front();
+  if (!queue_->jobs.empty()) schedule_head();
+  if (done) done();
 }
 
 double Resource::utilization() const {

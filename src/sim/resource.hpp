@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "sim/block_fifo.hpp"
 #include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -17,16 +19,30 @@ namespace xgbe::sim {
 /// the resource is busy queues behind it (work-conserving, non-preemptive).
 /// Busy time is accumulated so callers can report utilization — this is how
 /// the /proc/loadavg observations in the paper are reproduced.
+///
+/// Every job completes in its own event (null callbacks included, so the
+/// clock covers all resource activity). A job that finds the resource idle
+/// is scheduled at once, as an event of its own. A job that arrives while
+/// the resource is busy waits in a FIFO with the tie-break sequence it
+/// reserved at submit(), and only the FIFO's head has an event in the
+/// simulator's pending set. Finish times never decrease (a job starts at
+/// max(busy_until, now)), so scheduling each head when its predecessor
+/// completes pops the jobs in exactly the (time, seq) order one event per
+/// job would give, and the event heap no longer grows with the queue. The
+/// FIFO is allocated when a job first has to wait, so a resource that never
+/// queues allocates nothing. Destroying a Resource cancels its pending head
+/// and drops the queued jobs uncalled.
 class Resource {
  public:
   Resource(Simulator& simulator, std::string name)
       : sim_(simulator), name_(std::move(name)) {}
+  ~Resource();
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
   /// Enqueues a job of length `cost`; `done` (optional) fires at completion.
-  /// Returns the completion time.
+  /// Returns the completion time. `done` may submit to this Resource again.
   SimTime submit(SimTime cost, InlineCallback done = nullptr);
 
   /// Earliest time a newly submitted job would start.
@@ -52,8 +68,31 @@ class Resource {
   std::uint64_t jobs_completed() const { return jobs_; }
 
  private:
+  /// A queued job: when it completes, the tie-break sequence reserved when
+  /// it was submitted, and its continuation.
+  struct Job {
+    SimTime finish = 0;
+    std::uint64_t seq = 0;
+    InlineCallback done;
+  };
+
+  /// Jobs that arrived while the resource was busy, and the front one's
+  /// event. Most resources never queue, and a set-up builds hundreds of
+  /// them, so this stays out of line until first needed.
+  struct Queue {
+    BlockFifo<Job> jobs;
+    EventId head_event;
+  };
+
+  /// Schedules the completion event of the queue's front job.
+  void schedule_head();
+  /// The head's event: pops the job, schedules the next head, then runs the
+  /// popped job's continuation.
+  void complete();
+
   Simulator& sim_;
   std::string name_;
+  std::unique_ptr<Queue> queue_;
   SimTime busy_until_ = 0;
   SimTime busy_accum_ = 0;
   SimTime window_start_ = 0;

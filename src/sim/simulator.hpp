@@ -91,6 +91,18 @@ class Simulator {
   /// Deterministic; tests pin the hot paths at 0.
   std::uint64_t heap_fallbacks() const { return queue_.heap_fallbacks(); }
 
+  /// Counts `cb` in heap_fallbacks() if it allocated. For components that
+  /// hold a callback until its event is scheduled (a Resource's queued
+  /// jobs), so it counts as if it had been scheduled at once.
+  void count_heap_fallback(const InlineCallback& cb) {
+    queue_.count_heap_fallback(cb);
+  }
+
+  /// Events in the pending set right now. Work queued behind a single
+  /// pending event (a Resource's jobs, a Link's frames on the wire) counts
+  /// once. Deterministic, so tests can bound the heap.
+  std::size_t pending_events() const { return queue_.size(); }
+
   /// True while events remain scheduled.
   bool has_pending() const { return !queue_.empty(); }
 

@@ -1,16 +1,20 @@
 #include "tcp/reassembly.hpp"
 
+#include <iterator>
+
 namespace xgbe::tcp {
 
 bool Reassembly::is_duplicate(net::Seq seq, std::uint32_t len) const {
   // Entirely below rcv_nxt?
   if (net::seq_le(seq + len, rcv_nxt_)) return true;
-  // Entirely covered by one out-of-order range?
-  for (const auto& [start, rlen] : ooo_) {
-    if (net::seq_le(start, seq) && net::seq_le(seq + len, start + rlen))
-      return true;
-  }
-  return false;
+  // Entirely covered by one out-of-order range? Ranges are disjoint with
+  // gaps between them, so only the last one starting at or before `seq`
+  // can cover it.
+  auto it = ooo_.upper_bound(seq);
+  if (it == ooo_.begin()) return false;
+  --it;
+  return net::seq_le(it->first, seq) &&
+         net::seq_le(seq + len, it->first + it->second);
 }
 
 std::uint32_t Reassembly::offer(net::Seq seq, std::uint32_t len) {
@@ -23,24 +27,25 @@ std::uint32_t Reassembly::offer(net::Seq seq, std::uint32_t len) {
   }
 
   if (net::seq_gt(seq, rcv_nxt_)) {
-    // Out of order: insert [seq, end), coalescing with neighbours.
+    // Out of order: insert [seq, end), coalescing with every range it
+    // overlaps or touches. Ranges are disjoint with gaps between them, so
+    // only the last range starting at or before `seq` can reach it from
+    // below; the ranges after it merge in order while they start at or
+    // before the merged end.
+    auto it = ooo_.upper_bound(seq);
+    if (it != ooo_.begin()) {
+      const auto prev = std::prev(it);
+      if (net::seq_le(seq, prev->first + prev->second)) it = prev;
+    }
     net::Seq nstart = seq;
     net::Seq nend = end;
-    for (auto it = ooo_.begin(); it != ooo_.end();) {
-      const net::Seq s = it->first;
-      const net::Seq e = it->first + it->second;
-      const bool overlaps =
-          net::seq_le(s, nend) && net::seq_le(nstart, e);
-      if (overlaps) {
-        nstart = net::seq_min(nstart, s);
-        nend = net::seq_max(nend, e);
-        ooo_bytes_ -= it->second;
-        it = ooo_.erase(it);
-      } else {
-        ++it;
-      }
+    while (it != ooo_.end() && net::seq_le(it->first, nend)) {
+      nstart = net::seq_min(nstart, it->first);
+      nend = net::seq_max(nend, it->first + it->second);
+      ooo_bytes_ -= it->second;
+      it = ooo_.erase(it);
     }
-    ooo_[nstart] = net::seq_span(nstart, nend);
+    ooo_.emplace_hint(it, nstart, net::seq_span(nstart, nend));
     ooo_bytes_ += net::seq_span(nstart, nend);
     return 0;
   }

@@ -2,6 +2,7 @@
 // ladder, multi-flow aggregation, WAN behaviour, tool semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -360,27 +361,86 @@ TEST(HeapFallbacks, Fig6NetpipePointStaysInline) {
   EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
 }
 
-TEST(HeapFallbacks, ShortLandSpeedRecordRunStaysInline) {
+// The section-4 record path, cut to 2.5 s of simulated time: slow start
+// reaches ~7,000 segments in flight.
+struct ShortLandSpeedRecord {
+  ShortLandSpeedRecord()
+      : tuning(core::TuningProfile::wan(80u * 1024 * 1024)),
+        a(tb.add_host("sv", hw::presets::wan_endpoint(), tuning)),
+        b(tb.add_host("ge", hw::presets::wan_endpoint(), tuning)) {
+    tb.build_wan_path(
+        a, b,
+        {link::wan::oc192_pos(link::wan::kSunnyvaleChicagoKm, 64u << 20),
+         link::wan::oc48_pos(link::wan::kChicagoGenevaKm, 64u << 20)},
+        link::wan::router_spec());
+    auto cfg = tools::iperf_config(a.endpoint_config());
+    cfg.read_chunk = 1 << 20;
+    conn = tb.open_connection(a, b, cfg, cfg);
+  }
+
+  tools::IperfResult run() {
+    tools::IperfOptions opt;
+    opt.write_size = 256 * 1024;
+    opt.warmup = sim::sec(2);
+    opt.duration = sim::msec(500);
+    return tools::run_iperf(tb, conn, a, b, opt);
+  }
+
   core::Testbed tb;
-  auto tuning = core::TuningProfile::wan(80u * 1024 * 1024);
-  auto& a = tb.add_host("sv", hw::presets::wan_endpoint(), tuning);
-  auto& b = tb.add_host("ge", hw::presets::wan_endpoint(), tuning);
-  tb.build_wan_path(
-      a, b,
-      {link::wan::oc192_pos(link::wan::kSunnyvaleChicagoKm, 64u << 20),
-       link::wan::oc48_pos(link::wan::kChicagoGenevaKm, 64u << 20)},
-      link::wan::router_spec());
-  auto cfg = tools::iperf_config(a.endpoint_config());
-  cfg.read_chunk = 1 << 20;
-  auto conn = tb.open_connection(a, b, cfg, cfg);
-  tools::IperfOptions opt;
-  opt.write_size = 256 * 1024;
-  opt.warmup = sim::sec(2);
-  opt.duration = sim::msec(500);
-  const auto r = tools::run_iperf(tb, conn, a, b, opt);
-  ASSERT_TRUE(r.completed);
-  EXPECT_GT(tb.simulator().executed_events(), 100000u);
-  EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
+  core::TuningProfile tuning;
+  core::Host& a;
+  core::Host& b;
+  core::Testbed::Connection conn;
+};
+
+TEST(HeapFallbacks, ShortLandSpeedRecordRunStaysInline) {
+  ShortLandSpeedRecord lsr;
+  ASSERT_TRUE(lsr.run().completed);
+  EXPECT_GT(lsr.tb.simulator().executed_events(), 100000u);
+  EXPECT_EQ(lsr.tb.simulator().heap_fallbacks(), 0u);
+}
+
+// Samples the event set and the sender's flight at a fixed cadence,
+// between events, so arming it changes no executed-event count.
+class PendingEventSampler : public sim::TimeHook {
+ public:
+  PendingEventSampler(const sim::Simulator& simulator,
+                      const tcp::Endpoint& sender, sim::SimTime period)
+      : sim_(simulator), sender_(sender), period_(period), due_(period) {}
+
+  sim::SimTime due() const override { return due_; }
+  void advance(sim::SimTime at) override {
+    peak_pending = std::max(peak_pending, sim_.pending_events());
+    peak_flight = std::max(peak_flight, sender_.unacked_segments());
+    due_ = at + period_;
+  }
+
+  std::size_t peak_pending = 0;
+  std::uint32_t peak_flight = 0;
+
+ private:
+  const sim::Simulator& sim_;
+  const tcp::Endpoint& sender_;
+  sim::SimTime period_;
+  sim::SimTime due_;
+};
+
+// Deterministic stand-in for the host-time cost of a deep window: frames
+// queued behind a link or a Resource wait in FIFOs behind one pending
+// event each, so the event heap stays small however many segments are in
+// flight, and the executed-event count is what one event per frame and
+// per job gave.
+TEST(EventSet, StaysSmallWithThousandsOfSegmentsInFlight) {
+  ShortLandSpeedRecord lsr;
+  PendingEventSampler sampler(lsr.tb.simulator(), *lsr.conn.client,
+                              sim::usec(10));
+  lsr.tb.simulator().set_time_hook(&sampler);
+  ASSERT_TRUE(lsr.run().completed);
+  lsr.tb.simulator().set_time_hook(nullptr);
+  EXPECT_GT(sampler.peak_flight, 3000u);  // ~7,000 at the peak
+  // One pending event per queued frame and job would put ~3,000 here.
+  EXPECT_LE(sampler.peak_pending, 32u);
+  EXPECT_EQ(lsr.tb.simulator().executed_events(), 884179u);
 }
 
 }  // namespace

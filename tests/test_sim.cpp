@@ -4,6 +4,8 @@
 
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -336,6 +338,173 @@ TEST(Resource, SaturatedUtilizationCapsAtOne) {
   EXPECT_LE(r.utilization(), 1.0);
   EXPECT_GT(r.utilization(), 0.99);
 }
+
+TEST(Resource, QueuedJobsShareOnePendingEvent) {
+  Simulator s;
+  Resource r(s, "cpu");
+  int done = 0;
+  for (int i = 0; i < 1000; ++i) r.submit(usec(1), [&done] { ++done; });
+  r.submit(usec(1));
+  // The first job found the Resource idle and has its own event; the other
+  // 1000 wait behind it, and only the first of those has an event.
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.run();
+  EXPECT_EQ(done, 1000);
+  // Still one executed event per job, the callback-less one included.
+  EXPECT_EQ(s.executed_events(), 1001u);
+  EXPECT_EQ(s.now(), usec(1001));
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Resource, DestroyedWithPendingJobsCancelsItsEvent) {
+  Simulator s;
+  auto token = std::make_shared<int>(0);
+  int fired = 0;
+  auto r = std::make_unique<Resource>(s, "bus");
+  r->submit(usec(1), [&fired] { ++fired; });
+  r->submit(usec(1), [&fired, token] { ++fired; });
+  r->submit(usec(1));
+  s.schedule(usec(5), [] {});
+  s.run_until(usec(1));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.pending_events(), 2u);  // the Resource's head + the plain one
+  EXPECT_EQ(token.use_count(), 2);
+  r.reset();
+  EXPECT_EQ(token.use_count(), 1);    // queued captures are released
+  EXPECT_EQ(s.pending_events(), 1u);  // and the head event is cancelled
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), usec(5));
+}
+
+TEST(Resource, CountsHeapFallbacksOfQueuedJobs) {
+  Simulator s;
+  Resource r(s, "cpu");
+  struct Big {
+    char bytes[200];
+  };
+  const Big big{};
+  int hits = 0;
+  r.submit(usec(1), [&hits] { ++hits; });
+  EXPECT_EQ(s.heap_fallbacks(), 0u);
+  // Waits in the Resource's queue, behind the head: never scheduled
+  // directly, still counted.
+  r.submit(usec(1), [big, &hits] { hits += 1 + big.bytes[0]; });
+  EXPECT_EQ(s.heap_fallbacks(), 1u);
+  s.run();
+  // Submitted to an idle Resource: scheduled as its own event at once.
+  r.submit(usec(1), [big, &hits] { hits += 1 + big.bytes[0]; });
+  EXPECT_EQ(s.heap_fallbacks(), 2u);
+  s.run();
+  EXPECT_EQ(hits, 3);
+  EXPECT_EQ(s.heap_fallbacks(), 2u);
+}
+
+// Reference model: every job is its own pending event, however many jobs
+// wait behind it.
+class OneEventPerJobResource {
+ public:
+  OneEventPerJobResource(Simulator& simulator, const std::string& /*name*/)
+      : sim_(simulator) {}
+  SimTime submit(SimTime cost, InlineCallback done = nullptr) {
+    if (cost < 0) cost = 0;
+    const SimTime start = busy_until_ > sim_.now() ? busy_until_ : sim_.now();
+    busy_until_ = start + cost;
+    sim_.schedule_at(busy_until_, std::move(done));
+    return busy_until_;
+  }
+
+ private:
+  Simulator& sim_;
+  SimTime busy_until_ = 0;
+};
+
+// A seeded random workload on three resources: jobs (a third of them
+// zero-cost, some without a callback), completions that submit again to
+// the same resource, plain events and cancels. Costs and delays are a few
+// picoseconds, so equal timestamps are common. Every callback logs its time
+// and tag and draws the next actions from one RNG, so any difference in
+// execution order shows in the log.
+template <typename R>
+struct ResourceWorkload {
+  explicit ResourceWorkload(std::uint64_t seed) : rng(seed) {
+    for (int i = 0; i < 3; ++i) {
+      res.push_back(std::make_unique<R>(sim, "r" + std::to_string(i)));
+    }
+    for (int i = 0; i < 40; ++i) step();
+    sim.run();
+  }
+
+  void step() {
+    if (budget == 0) return;
+    --budget;
+    const std::uint64_t action = rng.next_below(8);
+    if (action < 4) {
+      submit(rng.next_below(res.size()));
+    } else if (action < 7) {
+      plain();
+    } else if (!plain_ids.empty()) {
+      sim.cancel(plain_ids[rng.next_below(plain_ids.size())]);
+    }
+  }
+
+  void submit(std::size_t r) {
+    const SimTime cost =
+        rng.chance(0.3) ? 0 : static_cast<SimTime>(rng.next_below(5));
+    if (rng.chance(0.2)) {
+      res[r]->submit(cost);
+      return;
+    }
+    const std::uint64_t tag = next_tag++;
+    res[r]->submit(cost, [this, r, tag] {
+      log.emplace_back(sim.now(), tag);
+      if (budget > 0 && rng.chance(0.4)) {
+        --budget;
+        submit(r);  // back into the Resource that is completing
+      }
+      step();
+    });
+  }
+
+  void plain() {
+    const std::uint64_t tag = next_tag++;
+    plain_ids.push_back(
+        sim.schedule(static_cast<SimTime>(rng.next_below(8)), [this, tag] {
+          log.emplace_back(sim.now(), tag);
+          step();
+          step();
+        }));
+  }
+
+  Simulator sim;
+  std::vector<std::unique_ptr<R>> res;
+  Rng rng;
+  std::vector<std::pair<SimTime, std::uint64_t>> log;
+  std::vector<EventId> plain_ids;
+  std::uint64_t next_tag = 0;
+  int budget = 20000;
+};
+
+class ResourceFifo : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ResourceFifo, MatchesOneEventPerJob) {
+  const ResourceWorkload<Resource> fifo(GetParam());
+  const ResourceWorkload<OneEventPerJobResource> reference(GetParam());
+  EXPECT_EQ(fifo.budget, 0);  // the workload ran to its full size
+  ASSERT_GT(reference.log.size(), 10000u);
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < reference.log.size(); ++i) {
+    if (reference.log[i].first == reference.log[i - 1].first) ++ties;
+  }
+  EXPECT_GT(ties, reference.log.size() / 4);
+  EXPECT_EQ(fifo.log, reference.log);
+  EXPECT_EQ(fifo.sim.executed_events(), reference.sim.executed_events());
+  EXPECT_EQ(fifo.sim.now(), reference.sim.now());
+  EXPECT_EQ(fifo.sim.heap_fallbacks(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResourceFifo,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);

@@ -2,6 +2,12 @@
 // window advertising, reassembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "sim/random.hpp"
 #include "tcp/cwnd.hpp"
 #include "tcp/reassembly.hpp"
@@ -245,6 +251,150 @@ TEST_P(ReassemblyShuffle, AllBytesDeliveredExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyShuffle,
                          ::testing::Values(1u, 7u, 42u, 99u, 1234u, 9999u));
+
+// The out-of-order bookkeeping Reassembly replaced, kept as the reference
+// model: every call walks all out-of-order ranges.
+class LinearScanReassembly {
+ public:
+  explicit LinearScanReassembly(net::Seq rcv_nxt) : rcv_nxt_(rcv_nxt) {}
+
+  net::Seq rcv_nxt() const { return rcv_nxt_; }
+  std::uint32_t ooo_bytes() const { return ooo_bytes_; }
+  std::size_t ooo_ranges() const { return ooo_.size(); }
+
+  bool is_duplicate(net::Seq seq, std::uint32_t len) const {
+    if (net::seq_le(seq + len, rcv_nxt_)) return true;
+    for (const auto& [start, rlen] : ooo_) {
+      if (net::seq_le(start, seq) && net::seq_le(seq + len, start + rlen))
+        return true;
+    }
+    return false;
+  }
+
+  std::uint32_t offer(net::Seq seq, std::uint32_t len) {
+    if (len == 0) return 0;
+    net::Seq end = seq + len;
+    if (net::seq_lt(seq, rcv_nxt_)) {
+      if (net::seq_le(end, rcv_nxt_)) return 0;
+      seq = rcv_nxt_;
+    }
+    if (net::seq_gt(seq, rcv_nxt_)) {
+      net::Seq nstart = seq;
+      net::Seq nend = end;
+      for (auto it = ooo_.begin(); it != ooo_.end();) {
+        const net::Seq s = it->first;
+        const net::Seq e = it->first + it->second;
+        if (net::seq_le(s, nend) && net::seq_le(nstart, e)) {
+          nstart = net::seq_min(nstart, s);
+          nend = net::seq_max(nend, e);
+          ooo_bytes_ -= it->second;
+          it = ooo_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      ooo_[nstart] = net::seq_span(nstart, nend);
+      ooo_bytes_ += net::seq_span(nstart, nend);
+      return 0;
+    }
+    std::uint32_t delivered = net::seq_span(rcv_nxt_, end);
+    rcv_nxt_ = end;
+    for (auto it = ooo_.begin(); it != ooo_.end();) {
+      if (net::seq_gt(it->first, rcv_nxt_)) break;
+      const net::Seq e = it->first + it->second;
+      if (net::seq_gt(e, rcv_nxt_)) {
+        delivered += net::seq_span(rcv_nxt_, e);
+        rcv_nxt_ = e;
+      }
+      ooo_bytes_ -= it->second;
+      it = ooo_.erase(it);
+    }
+    return delivered;
+  }
+
+ private:
+  net::Seq rcv_nxt_;
+  std::map<net::Seq, std::uint32_t, SeqLess> ooo_;
+  std::uint32_t ooo_bytes_ = 0;
+};
+
+// Seeded random offers (in order, out of order, overlapping, touching and
+// duplicate) against the linear-scan reference, starting 64 KB below the
+// 2^32 wrap so the queued ranges straddle it.
+class ReassemblyEquivalence : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ReassemblyEquivalence, MatchesLinearScanAcrossTheWrap) {
+  sim::Rng rng(GetParam());
+  constexpr net::Seq kStart = 0u - 65536u;
+  constexpr std::uint32_t kWindow = 256 * 1024;
+  Reassembly fast(kStart);
+  LinearScanReassembly ref(kStart);
+  std::vector<std::pair<net::Seq, std::uint32_t>> recent;  // past offers
+  std::size_t peak_ranges = 0;
+  bool wrapped = false;
+  auto pick_recent = [&]() -> std::pair<net::Seq, std::uint32_t> {
+    return recent[rng.next_below(recent.size())];
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const net::Seq base = ref.rcv_nxt();
+    net::Seq seq = base;
+    std::uint32_t len = 1 + static_cast<std::uint32_t>(rng.next_below(9000));
+    switch (recent.empty() ? 0 : rng.next_below(6)) {
+      case 0:  // in order, sometimes reaching back over old data
+        if (rng.chance(0.5)) {
+          seq = base - static_cast<net::Seq>(rng.next_below(3000));
+        }
+        break;
+      case 1:  // out of order, anywhere in the window
+      case 2:
+        seq = base + 1 + static_cast<net::Seq>(rng.next_below(kWindow));
+        break;
+      case 3: {  // overlapping an earlier offer
+        const auto [s, l] = pick_recent();
+        seq = s + static_cast<net::Seq>(rng.next_below(l));
+        break;
+      }
+      case 4: {  // touching an earlier offer, at its end or its start
+        const auto [s, l] = pick_recent();
+        seq = rng.chance(0.5) ? s + l : s - len;
+        break;
+      }
+      default:  // exact duplicate of an earlier offer
+        std::tie(seq, len) = pick_recent();
+        break;
+    }
+    ASSERT_EQ(fast.is_duplicate(seq, len), ref.is_duplicate(seq, len))
+        << "step " << step << " seq " << seq << " len " << len;
+    ASSERT_EQ(fast.offer(seq, len), ref.offer(seq, len))
+        << "step " << step << " seq " << seq << " len " << len;
+    ASSERT_EQ(fast.rcv_nxt(), ref.rcv_nxt());
+    ASSERT_EQ(fast.ooo_ranges(), ref.ooo_ranges());
+    ASSERT_EQ(fast.ooo_bytes(), ref.ooo_bytes());
+    ASSERT_EQ(fast.invariant_violation(), "");
+    // Probe coverage around the window: answers agree only if the ranges
+    // themselves agree.
+    for (int probe = 0; probe < 4; ++probe) {
+      const net::Seq at =
+          base - 4096 + static_cast<net::Seq>(rng.next_below(kWindow + 8192));
+      const auto plen = static_cast<std::uint32_t>(rng.next_below(4000));
+      ASSERT_EQ(fast.is_duplicate(at, plen), ref.is_duplicate(at, plen))
+          << "step " << step << " probe " << at << " len " << plen;
+    }
+    if (recent.size() < 64) {
+      recent.emplace_back(seq, len);
+    } else {
+      recent[rng.next_below(recent.size())] = {seq, len};
+    }
+    peak_ranges = std::max(peak_ranges, ref.ooo_ranges());
+    wrapped = wrapped || ref.rcv_nxt() < kStart;  // crossed 2^32
+  }
+  EXPECT_TRUE(wrapped);
+  EXPECT_GT(peak_ranges, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyEquivalence,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // Property: window rounding loses less than one MSS, never goes negative,
 // and is idempotent.
