@@ -8,16 +8,21 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -33,6 +38,26 @@
 #include "tools/stream.hpp"
 
 namespace xgbe::bench {
+
+/// Largest `--scrape-period` in microseconds whose picosecond period still
+/// fits sim::SimTime.
+inline constexpr std::int64_t kMaxScrapePeriodUsec =
+    std::numeric_limits<sim::SimTime>::max() / sim::kMicrosecond;
+
+/// Parses a `--scrape-period` value: a whole decimal number of microseconds
+/// in [1, kMaxScrapePeriodUsec], with nothing before or after the digits.
+/// Returns the period, or nullopt for anything else ("abc", "5ms", "-5").
+inline std::optional<sim::SimTime> parse_scrape_period_usec(
+    std::string_view text) {
+  std::int64_t usec = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, usec);
+  if (ec != std::errc() || ptr != end || usec <= 0 ||
+      usec > kMaxScrapePeriodUsec) {
+    return std::nullopt;
+  }
+  return sim::usec(usec);
+}
 
 /// Machine-readable bench results (`--json out.json`): every reported
 /// benchmark row plus full metrics-registry snapshots of the testbeds the
@@ -52,7 +77,8 @@ class ResultLog {
   /// Strips `--json <path>` / `--json=<path>`, `--cc <alg>` / `--cc=<alg>`,
   /// and `--scrape-period <usec>` / `--scrape-period=<usec>` from argv
   /// before benchmark::Initialize sees (and rejects) them. Returns the new
-  /// argc.
+  /// argc. A `--scrape-period` that does not parse is kept in
+  /// bad_scrape_period(); the bench main then exits 1.
   int consume_json_flag(int argc, char** argv) {
     if (argc > 0) {
       const char* slash = std::strrchr(argv[0], '/');
@@ -84,6 +110,10 @@ class ResultLog {
   /// default). Benches that support time-resolved telemetry arm a
   /// MetricScraper at this period; arming never changes simulation results.
   sim::SimTime scrape_period() const { return scrape_period_; }
+  /// The first `--scrape-period` value parse_scrape_period_usec() rejected.
+  const std::optional<std::string>& bad_scrape_period() const {
+    return bad_scrape_period_;
+  }
 
   /// The raw `--cc` value (empty when the flag was absent); resolved by
   /// init_cc_from_request() after the XGBE_CC fallback is consulted.
@@ -226,8 +256,12 @@ class ResultLog {
   };
 
   void set_scrape_period_usec(const char* usec) {
-    const long parsed = std::strtol(usec, nullptr, 10);
-    scrape_period_ = parsed > 0 ? sim::usec(parsed) : 0;
+    const std::optional<sim::SimTime> period = parse_scrape_period_usec(usec);
+    if (period.has_value()) {
+      scrape_period_ = *period;
+    } else if (!bad_scrape_period_.has_value()) {
+      bad_scrape_period_ = usec;
+    }
   }
 
   // parallel_sweep workers call add_snapshot concurrently.
@@ -236,6 +270,7 @@ class ResultLog {
   std::string binary_;
   std::string cc_request_;
   sim::SimTime scrape_period_ = 0;
+  std::optional<std::string> bad_scrape_period_;
   std::map<std::string, std::string> meta_;
   std::vector<Point> points_;
   std::vector<std::pair<std::string, std::string>> snapshots_;
@@ -313,6 +348,19 @@ inline bool init_cc_from_request() {
     ResultLog::instance().set_meta("cc", tcp::cc_name(alg));
   }
   return true;
+}
+
+/// False (after printing the offending value) when a `--scrape-period` did
+/// not parse.
+inline bool check_scrape_period_request() {
+  const std::optional<std::string>& bad =
+      ResultLog::instance().bad_scrape_period();
+  if (!bad.has_value()) return true;
+  std::fprintf(stderr,
+               "invalid --scrape-period '%s' (expected a whole number of "
+               "microseconds from 1 to %lld)\n",
+               bad->c_str(), static_cast<long long>(kMaxScrapePeriodUsec));
+  return false;
 }
 
 /// Snapshots every metric the testbed exposes (no-op unless --json is live).
@@ -575,6 +623,7 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
     argc = ::xgbe::bench::ResultLog::instance().consume_json_flag(argc,     \
                                                                   argv);    \
     if (!::xgbe::bench::init_cc_from_request()) return 1;                   \
+    if (!::xgbe::bench::check_scrape_period_request()) return 1;            \
     /* A sweep's thread count shapes wall-clock numbers, so runs under     \
        XGBE_SHARD_THREADS stamp it into the envelope's meta; unset runs    \
        emit no meta object at all, keeping golden files byte-identical. */ \

@@ -102,67 +102,108 @@ std::vector<Episode> detect_rate_collapse(
   return out;
 }
 
+namespace {
+
+enum class Rule { kNone, kIncrease, kQueueSaturation, kSrttInflation, kRate };
+
+struct Match {
+  Rule rule = Rule::kNone;
+  const char* cause = nullptr;
+};
+
+/// The detector policy of run_detectors(), decided from the series' name
+/// and unit alone so that series no rule judges are never decoded.
+Match match_rule(const std::string& name, const TimeSeriesStore& store) {
+  if (ends_with(name, "/fault/flaps") ||
+      ends_with(name, "/fault/drops_carrier")) {
+    return {Rule::kIncrease, "carrier-flap"};
+  }
+  if (ends_with(name, "/fault/drops_burst") ||
+      ends_with(name, "/fault/drops_uniform") ||
+      ends_with(name, "/fault/drops_forced") ||
+      ends_with(name, "/fault/corruptions") ||
+      ends_with(name, "/fault/drops_handshake") ||
+      ends_with(name, "/fault/duplicates") ||
+      ends_with(name, "/fault/reorders")) {
+    return {Rule::kIncrease, "bad-cable"};
+  }
+  if (ends_with(name, "/dropped_queue_full") &&
+      name.rfind("switch/", 0) == 0) {
+    // switch/<sw>/port/<egress>/dropped_queue_full — the egress link name
+    // decides trunk congestion vs incast collapse, like the doctor.
+    const std::size_t tail = name.rfind('/');
+    const std::size_t head = name.rfind('/', tail - 1);
+    const std::string egress = name.substr(head + 1, tail - head - 1);
+    const bool trunk = egress.rfind("trunk-", 0) == 0;
+    return {Rule::kIncrease, trunk ? "congested-trunk" : "incast-collapse"};
+  }
+  if (ends_with(name, "/host_fault/dma_throttled")) {
+    return {Rule::kIncrease, "host-dma-throttle"};
+  }
+  if (ends_with(name, "/host_fault/alloc_fail_rx") ||
+      ends_with(name, "/host_fault/alloc_fail_tx")) {
+    return {Rule::kIncrease, "host-memory-pressure"};
+  }
+  if (ends_with(name, "/host_fault/ring_stall_drops") ||
+      ends_with(name, "/host_fault/tx_ring_stalls")) {
+    return {Rule::kIncrease, "host-ring-stall"};
+  }
+  if (ends_with(name, "/queued_bytes")) {
+    return {Rule::kQueueSaturation, "queue-saturation"};
+  }
+  if (name.find("srtt") != std::string::npos && store.unit(name) == "milli") {
+    return {Rule::kSrttInflation, "srtt-inflation"};
+  }
+  if (ends_with(name, "/frames_delivered") && name.rfind("link/", 0) == 0) {
+    return {Rule::kRate, "rate-collapse"};
+  }
+  return {};
+}
+
+}  // namespace
+
 std::vector<Episode> run_detectors(const TimeSeriesStore& store,
                                    const DetectOptions& opt) {
   std::vector<Episode> out;
   for (const std::string& name : store.series_names()) {
+    const Match m = match_rule(name, store);
+    if (m.rule == Rule::kNone) continue;
     const std::vector<SeriesPoint> pts = store.points(name);
     if (pts.size() < 2) continue;
     std::vector<Episode> eps;
-    if (ends_with(name, "/fault/flaps") ||
-        ends_with(name, "/fault/drops_carrier")) {
-      eps = detect_increase(pts, name, "carrier-flap", opt);
-    } else if (ends_with(name, "/fault/drops_burst") ||
-               ends_with(name, "/fault/drops_uniform") ||
-               ends_with(name, "/fault/drops_forced") ||
-               ends_with(name, "/fault/corruptions") ||
-               ends_with(name, "/fault/drops_handshake") ||
-               ends_with(name, "/fault/duplicates") ||
-               ends_with(name, "/fault/reorders")) {
-      eps = detect_increase(pts, name, "bad-cable", opt);
-    } else if (ends_with(name, "/dropped_queue_full") &&
-               name.rfind("switch/", 0) == 0) {
-      // switch/<sw>/port/<egress>/dropped_queue_full — the egress link name
-      // decides trunk congestion vs incast collapse, like the doctor.
-      const std::size_t tail = name.rfind('/');
-      const std::size_t head = name.rfind('/', tail - 1);
-      const std::string egress = name.substr(head + 1, tail - head - 1);
-      const bool trunk = egress.rfind("trunk-", 0) == 0;
-      eps = detect_increase(pts, name,
-                            trunk ? "congested-trunk" : "incast-collapse",
-                            opt);
-    } else if (ends_with(name, "/host_fault/dma_throttled")) {
-      eps = detect_increase(pts, name, "host-dma-throttle", opt);
-    } else if (ends_with(name, "/host_fault/alloc_fail_rx") ||
-               ends_with(name, "/host_fault/alloc_fail_tx")) {
-      eps = detect_increase(pts, name, "host-memory-pressure", opt);
-    } else if (ends_with(name, "/host_fault/ring_stall_drops") ||
-               ends_with(name, "/host_fault/tx_ring_stalls")) {
-      eps = detect_increase(pts, name, "host-ring-stall", opt);
-    } else if (ends_with(name, "/queued_bytes")) {
-      std::int64_t peak = 0;
-      for (const SeriesPoint& p : pts) peak = std::max(peak, p.value);
-      if (peak >= opt.queue_floor && opt.queue_saturation_den > 0) {
-        const std::int64_t threshold =
-            peak * opt.queue_saturation_num / opt.queue_saturation_den;
-        eps = detect_threshold(pts, name, "queue-saturation", threshold);
-      }
-    } else if (name.find("srtt") != std::string::npos &&
-               store.unit(name) == "milli") {
-      std::int64_t baseline = 0;
-      for (const SeriesPoint& p : pts) {
-        if (p.value > 0) {
-          baseline = p.value;
-          break;
+    switch (m.rule) {
+      case Rule::kNone:
+        break;
+      case Rule::kIncrease:
+        eps = detect_increase(pts, name, m.cause, opt);
+        break;
+      case Rule::kQueueSaturation: {
+        std::int64_t peak = 0;
+        for (const SeriesPoint& p : pts) peak = std::max(peak, p.value);
+        if (peak >= opt.queue_floor && opt.queue_saturation_den > 0) {
+          const std::int64_t threshold =
+              peak * opt.queue_saturation_num / opt.queue_saturation_den;
+          eps = detect_threshold(pts, name, m.cause, threshold);
         }
+        break;
       }
-      if (baseline > 0) {
-        eps = detect_threshold(pts, name, "srtt-inflation",
-                               baseline * opt.inflation_factor + 1);
+      case Rule::kSrttInflation: {
+        std::int64_t baseline = 0;
+        for (const SeriesPoint& p : pts) {
+          if (p.value > 0) {
+            baseline = p.value;
+            break;
+          }
+        }
+        if (baseline > 0) {
+          eps = detect_threshold(pts, name, m.cause,
+                                 baseline * opt.inflation_factor + 1);
+        }
+        break;
       }
-    } else if (ends_with(name, "/frames_delivered") &&
-               name.rfind("link/", 0) == 0) {
-      eps = detect_rate_collapse(pts, name, "rate-collapse", opt);
+      case Rule::kRate:
+        eps = detect_rate_collapse(pts, name, m.cause, opt);
+        break;
     }
     out.insert(out.end(), eps.begin(), eps.end());
   }

@@ -107,6 +107,7 @@ void Registry::counter(std::string path,
   p.kind = Kind::kCounter;
   p.counter = std::move(probe);
   probes_[std::move(path)] = std::move(p);
+  ++generation_;
 }
 
 void Registry::gauge(std::string path, std::function<double()> probe) {
@@ -114,6 +115,7 @@ void Registry::gauge(std::string path, std::function<double()> probe) {
   p.kind = Kind::kGauge;
   p.gauge = std::move(probe);
   probes_[std::move(path)] = std::move(p);
+  ++generation_;
 }
 
 void Registry::distribution(std::string path,
@@ -122,6 +124,7 @@ void Registry::distribution(std::string path,
   p.kind = Kind::kDistribution;
   p.distribution = std::move(probe);
   probes_[std::move(path)] = std::move(p);
+  ++generation_;
 }
 
 Sample Registry::sample_probe(const std::string& path, const Probe& probe) {
@@ -157,21 +160,20 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-Snapshot Registry::snapshot_prefixes(
+std::vector<Registry::Entry> Registry::select(
     const std::vector<std::string>& prefixes) const {
-  if (prefixes.empty()) return snapshot();
-  Snapshot snap;
+  std::vector<Entry> out;
   for (const auto& [path, probe] : probes_) {
-    bool match = false;
+    bool match = prefixes.empty();
     for (const std::string& prefix : prefixes) {
       if (path.compare(0, prefix.size(), prefix) == 0) {
         match = true;
         break;
       }
     }
-    if (match) snap.samples.push_back(sample_probe(path, probe));
+    if (match) out.push_back({&path, &probe});
   }
-  return snap;
+  return out;
 }
 
 }  // namespace xgbe::obs

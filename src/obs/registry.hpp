@@ -2,10 +2,11 @@
 //
 // The registry is pull-based: components register named probes (closures
 // over their existing counters) and pay nothing on the hot path — a probe
-// runs only when snapshot() is called. Paths are hierarchical slash-joined
-// names ("tx/tcp/flow1/retransmits", "link/tx<->rx/drops_queue"); a
-// snapshot is sorted by path, so two identically-seeded runs render
-// byte-identical JSON/CSV.
+// runs only when it is read (snapshot(), or a MetricScraper boundary over
+// select()). Paths are hierarchical slash-joined names
+// ("tx/tcp/flow1/retransmits", "link/tx<->rx/drops_queue"); a snapshot is
+// sorted by path, so two identically-seeded runs render byte-identical
+// JSON/CSV.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,23 @@ struct Snapshot {
 
 class Registry {
  public:
+  /// One registered probe: its kind and the closure of that kind (the other
+  /// two are empty).
+  struct Probe {
+    Kind kind = Kind::kCounter;
+    std::function<std::uint64_t()> counter;
+    std::function<double()> gauge;
+    std::function<sim::OnlineStats()> distribution;
+  };
+
+  /// A selected probe and its path. Both point into the registry: a probe
+  /// and its path never move, since registration never erases or relocates
+  /// an existing entry (re-registering a path overwrites its Probe in place).
+  struct Entry {
+    const std::string* path = nullptr;
+    const Probe* probe = nullptr;
+  };
+
   /// Registers a monotonic counter probe. Re-registering a path replaces
   /// the previous probe (components re-register after reconfiguration).
   void counter(std::string path, std::function<std::uint64_t()> probe);
@@ -57,25 +75,25 @@ class Registry {
   void distribution(std::string path, std::function<sim::OnlineStats()> probe);
 
   std::size_t size() const { return probes_.size(); }
+  /// Bumped by every counter()/gauge()/distribution() call, re-registrations
+  /// included. A caller that cached select() results is stale once this
+  /// moves.
+  std::uint64_t generation() const { return generation_; }
   Snapshot snapshot() const;
 
-  /// Samples only probes whose path starts with one of `prefixes` (every
-  /// probe when the list is empty). Non-matching probes are never invoked —
-  /// a scraper restricted to live subsystems cannot trip over stale
-  /// closures elsewhere. Sorted by path like snapshot().
-  Snapshot snapshot_prefixes(const std::vector<std::string>& prefixes) const;
+  /// The probes whose path starts with one of `prefixes` (every probe when
+  /// the list is empty), sorted by path. Selecting invokes no probe, so a
+  /// scraper restricted to live subsystems never calls a stale closure
+  /// elsewhere.
+  std::vector<Entry> select(const std::vector<std::string>& prefixes) const;
 
  private:
-  struct Probe;
   static Sample sample_probe(const std::string& path, const Probe& probe);
-  struct Probe {
-    Kind kind = Kind::kCounter;
-    std::function<std::uint64_t()> counter;
-    std::function<double()> gauge;
-    std::function<sim::OnlineStats()> distribution;
-  };
-  // std::map: iteration (and therefore snapshot order) is sorted by path.
+
+  // std::map: iteration (and therefore snapshot order) is sorted by path,
+  // and its nodes never move, which keeps select()'s pointers valid.
   std::map<std::string, Probe> probes_;
+  std::uint64_t generation_ = 0;
 };
 
 /// Shortest-round-trip decimal rendering of a double ("0.25", "1e-05");

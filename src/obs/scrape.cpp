@@ -10,11 +10,22 @@ namespace xgbe::obs {
 TimeSeriesStore::TimeSeriesStore(std::size_t max_points)
     : max_points_(max_points < 1 ? 1 : max_points) {}
 
+TimeSeriesStore::Column TimeSeriesStore::column(const std::string& series,
+                                                const char* unit) {
+  const auto [it, created] = series_.try_emplace(series);
+  if (created) it->second.unit = unit;
+  return Column(&it->second);
+}
+
 void TimeSeriesStore::append(const std::string& series, sim::SimTime at,
                              std::int64_t value, const char* unit) {
-  Series& s = series_[series];
+  append(column(series, unit), at, value);
+}
+
+void TimeSeriesStore::append(Column column, sim::SimTime at,
+                             std::int64_t value) {
+  Series& s = *column.series_;
   if (!s.any) {
-    s.unit = unit;
     s.base_at = at;
     s.base_value = value;
     s.last_at = at;
@@ -87,8 +98,6 @@ const std::string& TimeSeriesStore::unit(const std::string& series) const {
   return it == series_.end() ? kEmpty : it->second.unit;
 }
 
-void TimeSeriesStore::clear() { series_.clear(); }
-
 std::string TimeSeriesStore::to_csv() const {
   std::string out = "series,unit,at_ps,value\n";
   for (const auto& [name, s] : series_) {
@@ -156,18 +165,31 @@ MetricScraper::MetricScraper(const Registry& registry, ScrapeOptions options)
   due_ = opt_.period;
 }
 
+void MetricScraper::rebuild_plan() {
+  plan_.clear();
+  for (const Registry::Entry& e : registry_.select(opt_.prefixes)) {
+    const char* unit = e.probe->kind == Kind::kGauge ? "milli" : "count";
+    plan_.push_back({e.probe, store_.column(*e.path, unit)});
+  }
+  plan_generation_ = registry_.generation();
+}
+
 void MetricScraper::advance(sim::SimTime at) {
-  const Snapshot snap = registry_.snapshot_prefixes(opt_.prefixes);
-  for (const Sample& s : snap.samples) {
-    switch (s.kind) {
+  if (plan_generation_ != registry_.generation()) rebuild_plan();
+  for (const Planned& p : plan_) {
+    std::int64_t value = 0;
+    switch (p.probe->kind) {
       case Kind::kCounter:
+        value = static_cast<std::int64_t>(p.probe->counter());
+        break;
       case Kind::kDistribution:
-        store_.append(s.path, at, static_cast<std::int64_t>(s.count), "count");
+        value = static_cast<std::int64_t>(p.probe->distribution().count());
         break;
       case Kind::kGauge:
-        store_.append(s.path, at, std::llround(s.value * 1000.0), "milli");
+        value = std::llround(p.probe->gauge() * 1000.0);
         break;
     }
+    store_.append(p.column, at, value);
   }
   ++scrapes_;
   due_ = at + opt_.period;

@@ -44,12 +44,29 @@ struct SeriesPoint {
 /// (registry path). Append order per series must be time-monotone (the
 /// scraper's cadence guarantees it).
 class TimeSeriesStore {
+  struct Series;
+
  public:
+  /// Handle to one series of the store that handed it out. It stays valid
+  /// for that store's lifetime: series are never erased, and std::map nodes
+  /// do not move.
+  class Column {
+    friend class TimeSeriesStore;
+    explicit Column(Series* series) : series_(series) {}
+    Series* series_;
+  };
+
   explicit TimeSeriesStore(std::size_t max_points = 4096);
 
+  /// The column of `series`, created empty on first use and labelled `unit`
+  /// ("count" for counters/distributions, "milli" for gauges); later calls
+  /// return the same column and keep its first label. A created column is
+  /// listed by series_names() and the exports even before its first point.
+  Column column(const std::string& series, const char* unit);
   /// Appends one point; evicts the series' oldest point first when the ring
-  /// bound is reached. `unit` labels the series on first touch ("count" for
-  /// counters/distributions, "milli" for gauges).
+  /// bound is reached.
+  void append(Column column, sim::SimTime at, std::int64_t value);
+  /// append(column(series, unit), at, value).
   void append(const std::string& series, sim::SimTime at, std::int64_t value,
               const char* unit = "count");
 
@@ -63,8 +80,6 @@ class TimeSeriesStore {
   /// Points dropped off the ring's old end for one series.
   std::uint64_t evicted(const std::string& series) const;
   const std::string& unit(const std::string& series) const;
-
-  void clear();
 
   /// "series,unit,at_ps,value" header plus one row per point, series in
   /// path order. Byte-identical across reruns.
@@ -111,6 +126,11 @@ struct ScrapeOptions {
 /// distributions their sample count, and gauges llround(value * 1000)
 /// ("milli" units — e.g. srtt_us gauges become integer nanoseconds).
 ///
+/// The probes to read are resolved once into a path-ordered plan of
+/// (probe, column) pairs, rebuilt only when the registry's generation()
+/// moves (any registration). A boundary then calls each planned probe once
+/// and appends to its column: no snapshot, no path copy, no lookup.
+///
 /// Arm via Testbed::set_metric_scraper() (classic: between-event firing;
 /// sharded: lookahead-barrier firing — samples observe the first barrier at
 /// or after each boundary, timestamped with the nominal boundary). The
@@ -118,6 +138,9 @@ struct ScrapeOptions {
 class MetricScraper : public sim::TimeHook {
  public:
   explicit MetricScraper(const Registry& registry, ScrapeOptions options = {});
+  // The plan points into this scraper's own store.
+  MetricScraper(const MetricScraper&) = delete;
+  MetricScraper& operator=(const MetricScraper&) = delete;
 
   // sim::TimeHook
   sim::SimTime due() const override { return due_; }
@@ -133,11 +156,22 @@ class MetricScraper : public sim::TimeHook {
   std::string scrape_json() const;
 
  private:
+  struct Planned {
+    const Registry::Probe* probe = nullptr;
+    TimeSeriesStore::Column column;
+  };
+
+  void rebuild_plan();
+
   const Registry& registry_;
   ScrapeOptions opt_;
   TimeSeriesStore store_;
   sim::SimTime due_;
   std::uint64_t scrapes_ = 0;
+  std::vector<Planned> plan_;
+  // Registry generation the plan was built at; an empty registry is at 0,
+  // where the empty initial plan is already right.
+  std::uint64_t plan_generation_ = 0;
 };
 
 }  // namespace xgbe::obs

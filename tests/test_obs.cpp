@@ -163,6 +163,51 @@ TEST(Registry, LifecycleCountersFlowThroughBenchJson) {
   std::remove(out_path);
 }
 
+TEST(ResultLog, ScrapePeriodAcceptsOnlyPositiveWholeMicroseconds) {
+  EXPECT_EQ(bench::parse_scrape_period_usec("5000"), sim::usec(5000));
+  EXPECT_EQ(bench::parse_scrape_period_usec("1"), sim::usec(1));
+  // The largest period whose picosecond count fits sim::SimTime, and one
+  // past it.
+  EXPECT_EQ(bench::parse_scrape_period_usec("9223372036854"),
+            sim::usec(9223372036854));
+  for (const char* bad : {"", "abc", "5ms", "5 ", " 5", "+5", "-5", "0",
+                          "9223372036855", "10000000000000",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(bench::parse_scrape_period_usec(bad).has_value())
+        << "'" << bad << "'";
+  }
+}
+
+TEST(ResultLog, ConsumeFlagsKeepsAnInvalidScrapePeriod) {
+  char arg0[] = "fleet_incast";
+  char flag[] = "--scrape-period";
+  char overflow[] = "10000000000000";
+  char filter[] = "--benchmark_filter=x";
+  char good[] = "--scrape-period=250";
+  char suffixed[] = "--scrape-period=5ms";
+
+  bench::ResultLog rejected;
+  char* argv[] = {arg0, flag, overflow, filter};
+  ASSERT_EQ(rejected.consume_json_flag(4, argv), 2);
+  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
+  EXPECT_EQ(rejected.scrape_period(), 0);
+  ASSERT_TRUE(rejected.bad_scrape_period().has_value());
+  EXPECT_EQ(*rejected.bad_scrape_period(), "10000000000000");
+
+  // A later valid value does not excuse an earlier invalid one.
+  bench::ResultLog mixed;
+  char* argv_mixed[] = {arg0, suffixed, good};
+  ASSERT_EQ(mixed.consume_json_flag(3, argv_mixed), 1);
+  ASSERT_TRUE(mixed.bad_scrape_period().has_value());
+  EXPECT_EQ(*mixed.bad_scrape_period(), "5ms");
+
+  bench::ResultLog accepted;
+  char* argv_good[] = {arg0, good};
+  ASSERT_EQ(accepted.consume_json_flag(2, argv_good), 1);
+  EXPECT_EQ(accepted.scrape_period(), sim::usec(250));
+  EXPECT_FALSE(accepted.bad_scrape_period().has_value());
+}
+
 TEST(Trace, ArmingASinkDoesNotPerturbTheSimulation) {
   // The emission sites are pointer-gated and consume no randomness: a traced
   // run must match an untraced one byte-for-byte (metrics and sim clock).

@@ -15,13 +15,20 @@
 //    classifies the flap as transient, byte-identical across partitions;
 //  - scraping survives listener churn: a Registry armed before a re-listen
 //    keeps sampling the retired listener's counters (the Host::listen()
-//    retire rule — a use-after-free regression test under ASan).
+//    retire rule — a use-after-free regression test under ASan);
+//  - the scraper's compiled plan produces the store a full registry
+//    snapshot per boundary produces, across mid-run registrations, and
+//    never invokes a probe outside its prefixes;
+//  - an unfiltered scrape of the default fabric and the doctor's timeline
+//    verdict stay at constants pinned before the plan existed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/churn.hpp"
@@ -309,6 +316,225 @@ TEST(MetricScraper, ArmedShardedRunIsBitIdenticalToUnarmed) {
 }
 
 // ---------------------------------------------------------------------------
+// The compiled scrape plan against a full recomputation
+
+TEST(MetricScraper, SelectionNeverInvokesNonMatchingProbes) {
+  obs::Registry reg;
+  int live_reads = 0;
+  int dead_reads = 0;
+  reg.counter("live/a", [&live_reads] {
+    return static_cast<std::uint64_t>(++live_reads);
+  });
+  reg.gauge("dead/b", [&dead_reads] {
+    ++dead_reads;
+    return 0.0;
+  });
+  reg.distribution("dead/c", [&dead_reads] {
+    ++dead_reads;
+    return sim::OnlineStats{};
+  });
+  EXPECT_EQ(reg.generation(), 3u);
+  reg.counter("live/a", [&live_reads] {
+    return static_cast<std::uint64_t>(++live_reads);
+  });
+  EXPECT_EQ(reg.generation(), 4u) << "re-registration must count";
+
+  const std::vector<obs::Registry::Entry> selected = reg.select({"live/"});
+  ASSERT_EQ(selected.size(), 1u);
+  EXPECT_EQ(*selected[0].path, "live/a");
+  EXPECT_EQ(selected[0].probe->kind, obs::Kind::kCounter);
+  EXPECT_EQ(live_reads + dead_reads, 0) << "select() must invoke no probe";
+
+  ScrapeOptions so;
+  so.prefixes = {"live/"};
+  MetricScraper scraper(reg, so);
+  scraper.advance(scraper.due());
+  scraper.advance(scraper.due());
+  EXPECT_EQ(live_reads, 2);
+  EXPECT_EQ(dead_reads, 0);
+  EXPECT_EQ(scraper.store().series_names(), std::vector<std::string>{"live/a"});
+}
+
+/// Scrapes without a plan: a full Registry::snapshot() at every boundary,
+/// filtered by prefix and appended by path.
+class ReferenceScraper {
+ public:
+  ReferenceScraper(const obs::Registry& registry,
+                   std::vector<std::string> prefixes, std::size_t max_points)
+      : registry_(registry), prefixes_(std::move(prefixes)),
+        store_(max_points) {}
+
+  bool selects(const std::string& path) const {
+    if (prefixes_.empty()) return true;
+    for (const std::string& prefix : prefixes_) {
+      if (path.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  }
+
+  void advance(sim::SimTime at) {
+    for (const obs::Sample& s : registry_.snapshot().samples) {
+      if (!selects(s.path)) continue;
+      if (s.kind == obs::Kind::kGauge) {
+        store_.append(s.path, at, std::llround(s.value * 1000.0), "milli");
+      } else {
+        store_.append(s.path, at, static_cast<std::int64_t>(s.count),
+                      "count");
+      }
+    }
+  }
+
+  const TimeSeriesStore& store() const { return store_; }
+
+ private:
+  const obs::Registry& registry_;
+  std::vector<std::string> prefixes_;
+  TimeSeriesStore store_;
+};
+
+/// Advances a MetricScraper and the reference at the same boundaries and
+/// changes the registry between boundaries: before the 3rd it registers a
+/// probe under "switch/" and one outside every prefix set; before the 6th it
+/// re-registers the first selected path with a closure of another kind.
+class LockstepHook final : public sim::TimeHook {
+ public:
+  LockstepHook(obs::Registry& registry, MetricScraper& scraper,
+               ReferenceScraper& reference)
+      : registry_(registry), scraper_(scraper), reference_(reference) {}
+
+  sim::SimTime due() const override { return scraper_.due(); }
+
+  void advance(sim::SimTime at) override {
+    ++boundaries_;
+    if (boundaries_ == 3) {
+      registry_.counter("switch/zz-late/boundaries",
+                        [this] { return boundaries_; });
+      registry_.gauge("zz-unselected/late", [this] {
+        return 0.25 * static_cast<double>(boundaries_);
+      });
+    }
+    if (boundaries_ == 6) {
+      for (const obs::Sample& s : registry_.snapshot().samples) {
+        if (!reference_.selects(s.path)) continue;
+        if (s.kind == obs::Kind::kGauge) {
+          registry_.counter(s.path, [this] { return 1000 + boundaries_; });
+        } else {
+          registry_.gauge(s.path, [this] {
+            return 1.5 * static_cast<double>(boundaries_);
+          });
+        }
+        replaced_ = s.path;
+        break;
+      }
+    }
+    scraper_.advance(at);
+    reference_.advance(at);
+  }
+
+  const std::string& replaced() const { return replaced_; }
+
+ private:
+  obs::Registry& registry_;
+  MetricScraper& scraper_;
+  ReferenceScraper& reference_;
+  std::uint64_t boundaries_ = 0;
+  std::string replaced_;
+};
+
+void expect_same_store(const TimeSeriesStore& got,
+                       const TimeSeriesStore& want, const std::string& label) {
+  ASSERT_EQ(got.series_names(), want.series_names()) << label;
+  EXPECT_GT(want.total_points(), 0u) << label;
+  EXPECT_TRUE(got.to_csv() == want.to_csv()) << label;
+  EXPECT_TRUE(got.series_json() == want.series_json()) << label;
+  for (const std::string& name : want.series_names()) {
+    EXPECT_EQ(got.evicted(name), want.evicted(name)) << label << " " << name;
+  }
+}
+
+struct PlanCase {
+  std::vector<std::string> prefixes;
+  std::size_t max_points = 0;
+  std::string label;
+};
+
+std::vector<PlanCase> plan_cases(const std::string& testbed) {
+  std::vector<PlanCase> cases;
+  const std::vector<std::vector<std::string>> prefix_sets = {
+      {}, {"link/trunk-", "switch/"}};
+  for (const auto& prefixes : prefix_sets) {
+    const std::string filter = prefixes.empty() ? " unfiltered" : " filtered";
+    for (const std::size_t max_points : {1u, 4u, 4096u}) {
+      cases.push_back({prefixes, max_points,
+                       testbed + filter +
+                           " max_points=" + std::to_string(max_points)});
+    }
+  }
+  return cases;
+}
+
+TEST(MetricScraper, PlanMatchesPerBoundarySnapshotOnClassicTestbed) {
+  for (const PlanCase& c : plan_cases("classic")) {
+    core::Testbed tb;
+    const auto tuning = core::TuningProfile::lan_tuned(9000);
+    auto& client = tb.add_host("client", hw::presets::pe2650(), tuning);
+    auto& server = tb.add_host("server", hw::presets::pe2650(), tuning);
+    tb.connect(client, server);
+
+    obs::Registry reg;
+    tb.register_metrics(reg);
+    ScrapeOptions so;
+    so.period = sim::usec(100);
+    so.max_points = c.max_points;
+    so.prefixes = c.prefixes;
+    MetricScraper scraper(reg, so);
+    ReferenceScraper reference(reg, c.prefixes, c.max_points);
+    LockstepHook hook(reg, scraper, reference);
+    tb.simulator().set_time_hook(&hook);
+
+    auto conn = tb.open_connection(client, server, client.endpoint_config(),
+                                   server.endpoint_config());
+    ASSERT_TRUE(tb.run_until_established(conn)) << c.label;
+    conn.client->app_send(512 * 1024, nullptr);
+    tb.run_for(sim::msec(20));
+    tb.simulator().set_time_hook(nullptr);
+
+    EXPECT_FALSE(hook.replaced().empty()) << c.label;
+    EXPECT_GE(scraper.scrapes(), 100u) << c.label;
+    expect_same_store(scraper.store(), reference.store(), c.label);
+  }
+}
+
+TEST(MetricScraper, PlanMatchesPerBoundarySnapshotOnShardedIncast) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const PlanCase& c : plan_cases("shards=" + std::to_string(shards))) {
+      core::Fabric fabric(incast_fabric(shards, /*threads=*/1));
+      obs::Registry reg;
+      fabric.register_metrics(reg);
+      ScrapeOptions so;
+      so.period = sim::msec(1);  // ~280 boundaries over the 0.28 s run
+      so.max_points = c.max_points;
+      so.prefixes = c.prefixes;
+      MetricScraper scraper(reg, so);
+      ReferenceScraper reference(reg, c.prefixes, c.max_points);
+      LockstepHook hook(reg, scraper, reference);
+      fabric.testbed().engine().set_time_hook(&hook);
+
+      fleet::Options opt;
+      opt.scenario = fleet::Scenario::kIncast;
+      opt.incast_bytes = 64 * 1024;
+      opt.incast_rounds = 6;
+      fleet::run(fabric, opt);
+      fabric.testbed().engine().set_time_hook(nullptr);
+
+      EXPECT_FALSE(hook.replaced().empty()) << c.label;
+      EXPECT_GE(scraper.scrapes(), 100u) << c.label;
+      expect_same_store(scraper.store(), reference.store(), c.label);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Detector pinning: seeded flapping trunks
 
 TEST(Detect, FlappingTrunkEpisodesPinnedToFaultWindow) {
@@ -432,6 +658,53 @@ TEST(FleetDoctorTimeline, FlapFindingCarriesOnsetAndTransient) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Unfiltered scrape of the default fabric, pinned
+//
+// fleet_incast's golden samples "switch/" alone. These constants lock the
+// host, link and adapter series the doctor scrapes as well; both were
+// recorded while the scraper still took a full registry snapshot at every
+// boundary.
+
+core::FabricOptions bad_cable_trunk_fabric() {
+  core::FabricOptions o;  // the default two-rack fabric
+  o.faults.bad_cable_trunk(/*rack=*/1, /*spine=*/0, /*trunk=*/0);
+  return o;
+}
+
+TEST(MetricScraper, UnfilteredIncastScrapeMatchesPinnedFingerprint) {
+  core::Fabric fabric(bad_cable_trunk_fabric());
+  obs::Registry reg;
+  fabric.register_metrics(reg);
+  ScrapeOptions so;
+  so.period = sim::msec(1);
+  MetricScraper scraper(reg, so);
+  fleet::Options opt;  // the default incast scenario
+  opt.scraper = &scraper;
+  EXPECT_TRUE(fleet::run(fabric, opt).completed);
+
+  EXPECT_EQ(scraper.scrapes(), 35u);
+  EXPECT_EQ(scraper.store().series_count(), 464u);
+  EXPECT_EQ(scraper.store().total_points(), 16240u);
+  EXPECT_EQ(scraper.store().fingerprint(), 0xa42e1d7ebc40d05dULL);
+}
+
+TEST(FleetDoctorTimeline, BadCableTrunkVerdictMatchesPinnedJson) {
+  tools::FleetDoctorOptions opt;
+  opt.fabric = bad_cable_trunk_fabric();
+  opt.scrape_period = sim::msec(1);
+  EXPECT_EQ(
+      tools::run_fleet_doctor(opt).verdict.to_json(),
+      "{\"schema\":\"xgbe-fleet-doctor/2\",\"clean\":false,"
+      "\"frames_conserved\":true,\"connections_conserved\":true,"
+      "\"findings\":[{\"component\":\"trunk-tor1-spine0-0\","
+      "\"kind\":\"trunk\",\"cause\":\"bad-cable\",\"magnitude\":59,"
+      "\"share\":1,\"evidence\":\"burst=59 uniform=0 corruptions=0\","
+      "\"timed\":true,\"onset_ps\":3000000000,"
+      "\"clear_ps\":2202000000000,\"cleared\":true,\"episodes\":11,"
+      "\"transient\":true}]}");
 }
 
 // ---------------------------------------------------------------------------
