@@ -31,7 +31,7 @@ struct Driver {
   sim::Simulator& sim;
   sim::Rng rng;
   tcp::EndpointConfig client_cfg;
-  std::deque<Conn> conns;  // deque: stable addresses for callback captures
+  std::deque<Conn> conns{};  // deque: stable addresses for callback captures
   std::uint32_t scheduled = 0;  // arrival events issued so far
   std::uint32_t deferred = 0;   // arrivals waiting for a concurrency slot
   std::uint32_t active = 0;     // connections still counting against the cap

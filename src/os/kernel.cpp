@@ -36,17 +36,17 @@ int Kernel::active_cpus() const { return static_cast<int>(cpus_.size()); }
 
 void Kernel::copy_job(sim::Resource& cpu, sim::SimTime cpu_cost,
                       sim::SimTime bus_cost, Done done) {
-  auto join = join_pool_.acquire();
-  join->remaining = 2;
-  join->done = std::move(done);
-  auto arm = [join]() {
-    if (--join->remaining == 0 && join->done) {
-      join->done();
-      join->done = nullptr;  // release captures now, not at node reuse
-    }
-  };
-  cpu.submit(cpu_cost, arm);
-  membus_.submit(bus_cost, std::move(arm));
+  // The copy completes when its later half does, so `done` rides that half
+  // and the other only occupies its resource. On a tie the bus half,
+  // submitted second, completes second.
+  if (cpu.finish_if_submitted(cpu_cost) >
+      membus_.finish_if_submitted(bus_cost)) {
+    cpu.submit(cpu_cost, std::move(done));
+    membus_.submit(bus_cost);
+  } else {
+    cpu.submit(cpu_cost);
+    membus_.submit(bus_cost, std::move(done));
+  }
 }
 
 void Kernel::app_write(std::uint64_t payload_bytes, int nsegs,

@@ -132,20 +132,12 @@ class Kernel {
     return host_faults_ != nullptr && host_faults_->active();
   }
 
-  /// Fan-in join for copy_job: one pooled record replaces the two
-  /// make_shared allocations the old implementation paid per copy.
-  struct CopyJoin {
-    int remaining = 0;
-    Done done;
-  };
-
   sim::Simulator& sim_;
   hw::SystemSpec spec_;
   KernelConfig config_;
   KernelCosts costs_;
   sim::Resource membus_;
   std::vector<std::unique_ptr<sim::Resource>> cpus_;
-  sim::Pool<CopyJoin> join_pool_;
   sim::Pool<Deliver> deliver_pool_;
   sim::Pool<Done> done_pool_;  // app_read's continuation across the wakeup
   net::PacketBatchPool batch_pool_;  // for the vector convenience overload

@@ -35,7 +35,7 @@ SimTime EventQueue::next_time() const {
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
   const Key root = heap_.front();
-  Fired fired{root.time, std::move(callbacks_[root.slot])};
+  Fired fired{root.time, root.seq, std::move(callbacks_[root.slot])};
   release_slot(root.slot);
   remove_at(0);
   return fired;

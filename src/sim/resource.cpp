@@ -1,5 +1,7 @@
 #include "sim/resource.hpp"
 
+#include <cassert>
+
 namespace xgbe::sim {
 
 Resource::~Resource() {
@@ -10,11 +12,16 @@ Resource::~Resource() {
 SimTime Resource::submit(SimTime cost, InlineCallback done) {
   if (cost < 0) cost = 0;
   const bool waits = !idle();
-  const SimTime start = available_at();
-  const SimTime finish = start + cost;
+  const SimTime finish = finish_if_submitted(cost);
   busy_until_ = finish;
   busy_accum_ += cost;
   ++jobs_;
+  if (!done) {
+    // Nobody waits on this job: it needs its busy time and the clock's
+    // reach, not an event.
+    sim_.mark(finish);
+    return finish;
+  }
   if (!waits) {
     // Nothing to wait behind: the completion is the job's own event. Jobs
     // still queued here all finish by now, so they pop first either way.
@@ -28,6 +35,7 @@ SimTime Resource::submit(SimTime cost, InlineCallback done) {
   const std::uint64_t seq = sim_.reserve_seq();
   if (!queue_) queue_ = std::make_unique<Queue>();
   const bool was_empty = queue_->jobs.empty();
+  assert(done);  // complete() calls every queued continuation
   queue_->jobs.push_back(Job{finish, seq, std::move(done)});
   if (was_empty) schedule_head();
   return finish;
@@ -45,7 +53,7 @@ void Resource::complete() {
   InlineCallback done = std::move(queue_->jobs.front().done);
   queue_->jobs.pop_front();
   if (!queue_->jobs.empty()) schedule_head();
-  if (done) done();
+  done();
 }
 
 double Resource::utilization() const {

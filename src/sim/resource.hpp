@@ -20,18 +20,21 @@ namespace xgbe::sim {
 /// Busy time is accumulated so callers can report utilization — this is how
 /// the /proc/loadavg observations in the paper are reproduced.
 ///
-/// Every job completes in its own event (null callbacks included, so the
-/// clock covers all resource activity). A job that finds the resource idle
-/// is scheduled at once, as an event of its own. A job that arrives while
-/// the resource is busy waits in a FIFO with the tie-break sequence it
-/// reserved at submit(), and only the FIFO's head has an event in the
-/// simulator's pending set. Finish times never decrease (a job starts at
-/// max(busy_until, now)), so scheduling each head when its predecessor
-/// completes pops the jobs in exactly the (time, seq) order one event per
-/// job would give, and the event heap no longer grows with the queue. The
-/// FIFO is allocated when a job first has to wait, so a resource that never
-/// queues allocates nothing. Destroying a Resource cancels its pending head
-/// and drops the queued jobs uncalled.
+/// A job without a continuation ends in a clock mark (Simulator::mark at
+/// its finish time): it keeps its busy time, and the clock reaches its
+/// finish exactly as if an empty event sat there, but it is no event and
+/// takes no FIFO slot. Every job with a continuation completes in its own
+/// event. One that finds the resource idle is scheduled at once. One that
+/// arrives while the resource is busy waits in a FIFO with the tie-break
+/// sequence it reserved at submit(), and only the FIFO's head has an event
+/// in the simulator's pending set. Finish times never decrease (a job
+/// starts at max(busy_until, now)), so scheduling each head when its
+/// predecessor completes pops the jobs in exactly the (time, seq) order one
+/// event per job would give, and the event heap no longer grows with the
+/// queue. The FIFO is allocated when a job first has to wait, so a resource
+/// that never queues allocates nothing. Destroying a Resource cancels its
+/// pending head and drops the queued jobs uncalled; the marks of its jobs
+/// without a continuation stay pending.
 class Resource {
  public:
   Resource(Simulator& simulator, std::string name)
@@ -48,6 +51,11 @@ class Resource {
   /// Earliest time a newly submitted job would start.
   SimTime available_at() const {
     return busy_until_ > sim_.now() ? busy_until_ : sim_.now();
+  }
+
+  /// The completion time submit(cost) would return if called now.
+  SimTime finish_if_submitted(SimTime cost) const {
+    return available_at() + (cost < 0 ? 0 : cost);
   }
 
   /// True if a job submitted now would start immediately.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -36,7 +37,8 @@ class TimeHook {
 /// Components schedule callbacks; run() executes them in (time, schedule
 /// order) until the pending set drains, a stop is requested, or a horizon is
 /// reached. A Simulator is the root object every model component holds a
-/// reference to; it owns nothing but the clock and the event set.
+/// reference to; it owns nothing but the clock, the event set and the
+/// pending clock marks (see mark()).
 class Simulator {
  public:
   Simulator() = default;
@@ -69,6 +71,20 @@ class Simulator {
   }
 
   void cancel(EventId id) { queue_.cancel(id); }
+
+  /// Marks time `at` (clamped to `now()`) as reached by the model without
+  /// scheduling anything: a job nobody waits on still moves the clock. The
+  /// clock at every run return and TimeHook firing, has_pending() and
+  /// next_event_time() behave exactly as if an empty event had been
+  /// scheduled at `at` right now, but a mark runs nothing, takes no
+  /// sequence, cannot be cancelled, and counts in neither
+  /// executed_events() nor pending_events().
+  void mark(SimTime at) {
+    const Mark m{at < now_ ? now_ : at, queue_.next_seq()};
+    if (before(last_mark_, m)) last_mark_ = m;
+    marks_.push_back(m);
+    if (marks_.size() >= compact_at_) compact_marks();
+  }
 
   /// Runs until the event set drains or stop() is called.
   void run() { run_until(std::numeric_limits<SimTime>::max()); }
@@ -103,14 +119,17 @@ class Simulator {
   /// once. Deterministic, so tests can bound the heap.
   std::size_t pending_events() const { return queue_.size(); }
 
-  /// True while events remain scheduled.
-  bool has_pending() const { return !queue_.empty(); }
+  /// True while events or clock marks remain pending.
+  bool has_pending() const { return !queue_.empty() || live(last_mark_); }
 
-  /// Earliest pending event time, or SimTime max when the set is drained.
-  /// The sharded engine polls this across shards to pick the next window.
+  /// Earliest pending event or clock mark time, or SimTime max when both
+  /// are drained. The sharded engine polls this across shards to pick the
+  /// next window.
   SimTime next_event_time() const {
-    return queue_.empty() ? std::numeric_limits<SimTime>::max()
-                          : queue_.next_time();
+    const SimTime next = queue_.empty() ? kNever : queue_.next_time();
+    if (!live(last_mark_)) return next;
+    const SimTime next_mark = first_live_mark();
+    return next_mark < next ? next_mark : next;
   }
 
   /// Arms a boundary hook (null disarms). The hook fires between events —
@@ -121,11 +140,75 @@ class Simulator {
   TimeHook* time_hook() const { return hook_; }
 
  private:
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+  /// A clock mark: its time, and the sequence an empty event scheduled in
+  /// its place would have ordered by (the queue's next, not taken).
+  struct Mark {
+    SimTime time;
+    std::uint64_t seq;
+  };
+  static bool before(const Mark& a, const Mark& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  }
+  /// Orders before every mark; last_mark_ while none was taken.
+  static constexpr Mark kNoMark{std::numeric_limits<SimTime>::min(), 0};
+  /// Heap order: the earliest mark on top.
+  static bool after(const Mark& a, const Mark& b) { return before(b, a); }
+
+  /// A mark is pending until the clock passes it in (time, seq) order:
+  /// (now_, last_seq_) is the last event run or, after the clock moved
+  /// without one (set_clock), a sequence reserved then, so every mark taken
+  /// until then is passed.
+  bool live(const Mark& m) const {
+    return m.time > now_ || (m.time == now_ && m.seq > last_seq_);
+  }
+
+  /// Earliest pending mark's time; a mark must be pending. Folds the new
+  /// marks into the heap and drops the passed ones from its top.
+  SimTime first_live_mark() const;
+  /// Drops the passed marks from the unsorted ones.
+  void compact_marks();
+  /// Drops every passed mark, before the clock moves back.
+  void drop_passed_marks();
+  /// Moves the clock to `t` without an event: every mark at or before `t`
+  /// counts as run.
+  void set_clock(SimTime t) {
+    // A clock moved back must not revive the marks it had passed.
+    if (t < now_) drop_passed_marks();
+    now_ = t;
+    // Every mark taken so far has a sequence at or below this one.
+    last_seq_ = queue_.reserve_seq();
+  }
+  /// Runs the marks at or before `bound` as their empty events would: the
+  /// clock moves to the latest of them.
+  void run_marks_through(SimTime bound);
+  /// Fires the hook's boundaries before the next event (at `next`) and at
+  /// or before `horizon`, running the marks at or before each boundary
+  /// first. Returns false, the boundary unfired, when those marks were the
+  /// last pending work: the run then ends as drained.
+  bool fire_hooks_before(SimTime next, SimTime horizon);
+
+  static constexpr std::size_t kCompactFloor = 64;
+
   EventQueue queue_;
   SimTime now_ = 0;
+  std::uint64_t last_seq_ = 0;
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
   TimeHook* hook_ = nullptr;
+  // Pending clock marks. New ones are appended unsorted and passed ones
+  // stay until the vector reaches compact_at_, so marks cost no work per
+  // executed event. Only an observer of the earliest pending mark
+  // (next_event_time(), once per sharded window; a hook boundary) folds
+  // them into the min-heap, whose top it clears of passed marks: O(log n)
+  // per mark however many are pending. last_mark_, the latest mark taken,
+  // says whether any is pending and where a drain leaves the clock.
+  // Mutable: observing folds.
+  mutable std::vector<Mark> marks_;
+  mutable std::vector<Mark> mark_heap_;
+  std::size_t compact_at_ = kCompactFloor;
+  Mark last_mark_ = kNoMark;
 };
 
 }  // namespace xgbe::sim

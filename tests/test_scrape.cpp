@@ -691,6 +691,33 @@ TEST(MetricScraper, UnfilteredIncastScrapeMatchesPinnedFingerprint) {
   EXPECT_EQ(scraper.store().fingerprint(), 0xa42e1d7ebc40d05dULL);
 }
 
+// The rpc-churn scenario under a bad host cable: connections open and close
+// throughout, so host CPU, bus and adapter series move at nearly every
+// boundary, and a clock that reaches a job's finish late shows in them.
+// The rpc seed is the one perfbench's doctor_timeline variant 1 draws for
+// this fault. Recorded at the commit before Resource jobs without a
+// continuation became clock marks; the marks must not move it.
+TEST(MetricScraper, RpcChurnScrapeUnderBadHostCableMatchesPinnedFingerprint) {
+  core::FabricOptions o;  // the default two-rack fabric
+  o.faults.bad_cable_host_link(/*rack=*/0, /*host=*/2);
+  core::Fabric fabric(o);
+  obs::Registry reg;
+  fabric.register_metrics(reg);
+  ScrapeOptions so;
+  so.period = sim::msec(1);
+  MetricScraper scraper(reg, so);
+  fleet::Options opt;
+  opt.scenario = fleet::Scenario::kRpcChurn;
+  opt.rpc.seed = 0x1f624db804e8368eULL;
+  opt.scraper = &scraper;
+  EXPECT_TRUE(fleet::run(fabric, opt).completed);
+
+  EXPECT_EQ(scraper.scrapes(), 1230u);
+  EXPECT_EQ(scraper.store().series_count(), 464u);
+  EXPECT_EQ(scraper.store().total_points(), 570720u);
+  EXPECT_EQ(scraper.store().fingerprint(), 0xd7b3456556b29b1dULL);
+}
+
 TEST(FleetDoctorTimeline, BadCableTrunkVerdictMatchesPinnedJson) {
   tools::FleetDoctorOptions opt;
   opt.fabric = bad_cable_trunk_fabric();

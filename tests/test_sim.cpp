@@ -2,6 +2,7 @@
 // RNG, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -346,14 +348,18 @@ TEST(Resource, QueuedJobsShareOnePendingEvent) {
   for (int i = 0; i < 1000; ++i) r.submit(usec(1), [&done] { ++done; });
   r.submit(usec(1));
   // The first job found the Resource idle and has its own event; the other
-  // 1000 wait behind it, and only the first of those has an event.
+  // 999 with a callback wait behind it, and only the first of those has an
+  // event. The callback-less job is a clock mark, not an event.
   EXPECT_EQ(s.pending_events(), 2u);
+  EXPECT_EQ(s.next_event_time(), usec(1));
   s.run();
   EXPECT_EQ(done, 1000);
-  // Still one executed event per job, the callback-less one included.
-  EXPECT_EQ(s.executed_events(), 1001u);
+  // One executed event per job with a callback; the mark still takes the
+  // clock to the callback-less job's finish.
+  EXPECT_EQ(s.executed_events(), 1000u);
   EXPECT_EQ(s.now(), usec(1001));
   EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_FALSE(s.has_pending());
 }
 
 TEST(Resource, DestroyedWithPendingJobsCancelsItsEvent) {
@@ -401,7 +407,7 @@ TEST(Resource, CountsHeapFallbacksOfQueuedJobs) {
 }
 
 // Reference model: every job is its own pending event, however many jobs
-// wait behind it.
+// wait behind it, a callback-less one included (as an empty event).
 class OneEventPerJobResource {
  public:
   OneEventPerJobResource(Simulator& simulator, const std::string& /*name*/)
@@ -410,9 +416,13 @@ class OneEventPerJobResource {
     if (cost < 0) cost = 0;
     const SimTime start = busy_until_ > sim_.now() ? busy_until_ : sim_.now();
     busy_until_ = start + cost;
+    if (!done) ++bare_jobs;
     sim_.schedule_at(busy_until_, std::move(done));
     return busy_until_;
   }
+
+  /// Jobs submitted without a callback.
+  std::uint64_t bare_jobs = 0;
 
  private:
   Simulator& sim_;
@@ -498,13 +508,283 @@ TEST_P(ResourceFifo, MatchesOneEventPerJob) {
   }
   EXPECT_GT(ties, reference.log.size() / 4);
   EXPECT_EQ(fifo.log, reference.log);
-  EXPECT_EQ(fifo.sim.executed_events(), reference.sim.executed_events());
+  // One event per job with a callback: the Resource's callback-less jobs
+  // are clock marks, which run nothing.
+  std::uint64_t bare_jobs = 0;
+  for (const auto& r : reference.res) bare_jobs += r->bare_jobs;
+  EXPECT_GT(bare_jobs, 1000u);
+  EXPECT_EQ(fifo.sim.executed_events(),
+            reference.sim.executed_events() - bare_jobs);
   EXPECT_EQ(fifo.sim.now(), reference.sim.now());
   EXPECT_EQ(fifo.sim.heap_fallbacks(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResourceFifo,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
+
+// ---------------------------------------------------------------------------
+// Clock marks in lockstep with empty events
+//
+// Simulator::mark must be indistinguishable from an empty event scheduled at
+// the same time: the clock at every hook boundary and run return,
+// has_pending() and next_event_time(). The sharded engine opens each window
+// at the earliest pending time, so a mark seen late or not at all moves the
+// window sequence.
+
+/// Logs each boundary it observes with the clocks it watches at that moment.
+class ClockLog : public TimeHook {
+ public:
+  ClockLog(std::vector<const Simulator*> clocks, SimTime period)
+      : clocks_(std::move(clocks)), period_(period), due_(period) {}
+
+  SimTime due() const override { return due_; }
+  void advance(SimTime at) override {
+    log.push_back(at);
+    for (const Simulator* clock : clocks_) log.push_back(clock->now());
+    due_ = at + period_;
+  }
+
+  std::vector<SimTime> log;
+
+ private:
+  std::vector<const Simulator*> clocks_;
+  SimTime period_;
+  SimTime due_;
+};
+
+/// A seeded random program on one Simulator. Every job nobody waits on is
+/// a clock mark, or, in the reference, an empty event at the same time.
+/// Plain events log (time, tag), sometimes stop the run, and draw further
+/// actions from the program's own RNG, so any difference in what ran, or
+/// in what order, shows in the log. Delays are a few picoseconds, so equal
+/// timestamps are common.
+class MarkProgram {
+ public:
+  MarkProgram(Simulator& simulator, std::uint64_t seed, bool use_marks)
+      : sim_(simulator), rng_(seed), use_marks_(use_marks) {}
+
+  /// One action at the current time: a mark, a plain event or a cancel.
+  void act() {
+    const std::uint64_t action = rng_.next_below(10);
+    if (action < 4) {
+      mark(sim_.now() + delay());
+    } else if (action < 8) {
+      plain();
+    } else if (!plain_ids_.empty()) {
+      sim_.cancel(plain_ids_[rng_.next_below(plain_ids_.size())]);
+    }
+  }
+
+  /// A mark (or, in the reference, an empty event) at absolute time `at`.
+  void mark(SimTime at) {
+    marked.push_back(at);
+    if (use_marks_) {
+      sim_.mark(at);
+    } else {
+      sim_.schedule_at(at, [] {});
+    }
+  }
+
+  std::vector<std::pair<SimTime, std::uint64_t>> log;
+  std::vector<SimTime> marked;
+
+ private:
+  SimTime delay() {
+    if (rng_.chance(0.3)) return 0;
+    return static_cast<SimTime>(rng_.next_below(rng_.chance(0.1) ? 300 : 12));
+  }
+
+  void plain() {
+    const std::uint64_t tag = next_tag_++;
+    plain_ids_.push_back(sim_.schedule(delay(), [this, tag] {
+      log.emplace_back(sim_.now(), tag);
+      if (budget_ > 0) {
+        --budget_;
+        act();
+      }
+      if (budget_ > 0 && rng_.chance(0.45)) {
+        --budget_;
+        act();
+      }
+      if (rng_.chance(0.02)) sim_.stop();
+    }));
+  }
+
+  Simulator& sim_;
+  Rng rng_;
+  bool use_marks_;
+  std::vector<EventId> plain_ids_;
+  std::uint64_t next_tag_ = 0;
+  int budget_ = 4000;
+};
+
+/// A horizon just before, at or just after a recent mark, or a little past
+/// the clock.
+SimTime pick_horizon(Rng& choices, const std::vector<SimTime>& marked,
+                     SimTime now) {
+  if (!marked.empty() && choices.chance(0.7)) {
+    const std::size_t back =
+        choices.next_below(std::min<std::size_t>(marked.size(), 8));
+    return marked[marked.size() - 1 - back] +
+           static_cast<SimTime>(choices.next_below(3)) - 1;
+  }
+  return now + static_cast<SimTime>(choices.next_below(40));
+}
+
+struct MarkLockstepCase {
+  std::uint64_t seed;
+  bool hooked;
+};
+
+class ClockMarks : public ::testing::TestWithParam<MarkLockstepCase> {};
+
+TEST_P(ClockMarks, MatchEmptyEventsInLockstep) {
+  const MarkLockstepCase param = GetParam();
+  struct Side {
+    Side(std::uint64_t seed, bool use_marks, bool hooked)
+        : program(sim, seed, use_marks), hook({&sim}, 7) {
+      if (hooked) sim.set_time_hook(&hook);
+    }
+    Simulator sim;
+    MarkProgram program;
+    ClockLog hook;
+  };
+  Side marks(param.seed, true, param.hooked);
+  Side reference(param.seed, false, param.hooked);
+  Rng choices(param.seed * 7919 + 17);
+  std::size_t drains_on_marks = 0;
+  std::size_t stops = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const std::uint64_t op = choices.next_below(8);
+    if (op < 3) {
+      // Actions from outside a run: each program draws the same ones.
+      const std::uint64_t n = 1 + choices.next_below(6);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        marks.program.act();
+        reference.program.act();
+      }
+    } else if (op < 6) {
+      const SimTime h =
+          pick_horizon(choices, reference.program.marked, reference.sim.now());
+      marks.sim.run_until(h);
+      reference.sim.run_until(h);
+    } else {
+      if (op == 7) {
+        // Two marks past every delay, so the run() below mostly drains on
+        // marks.
+        const SimTime far = reference.sim.now() + 400 +
+                            static_cast<SimTime>(choices.next_below(50));
+        for (SimTime at : {far, far + 3}) {
+          marks.program.mark(at);
+          reference.program.mark(at);
+        }
+      }
+      marks.sim.run();
+      reference.sim.run();
+      if (reference.sim.stopped()) {
+        ++stops;
+      } else if (!reference.program.log.empty() &&
+                 reference.sim.now() > reference.program.log.back().first) {
+        ++drains_on_marks;
+      }
+    }
+    ASSERT_EQ(marks.sim.now(), reference.sim.now()) << "step " << step;
+    ASSERT_EQ(marks.sim.next_event_time(), reference.sim.next_event_time())
+        << "step " << step;
+    ASSERT_EQ(marks.sim.has_pending(), reference.sim.has_pending())
+        << "step " << step;
+    ASSERT_EQ(marks.sim.stopped(), reference.sim.stopped()) << "step " << step;
+    ASSERT_EQ(marks.program.log, reference.program.log) << "step " << step;
+    ASSERT_EQ(marks.hook.log, reference.hook.log) << "step " << step;
+  }
+  // The schedule really exercised what it is meant to.
+  const auto& log = reference.program.log;
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    if (log[i].first == log[i - 1].first) ++ties;
+  }
+  EXPECT_GT(log.size(), 1000u);
+  EXPECT_GT(ties, log.size() / 10);
+  EXPECT_GT(reference.program.marked.size(), 1000u);
+  EXPECT_GT(drains_on_marks, 100u);
+  EXPECT_GT(stops, 10u);
+  if (param.hooked) {
+    EXPECT_GT(reference.hook.log.size(), 2000u);
+  }
+  EXPECT_LT(marks.sim.executed_events(), reference.sim.executed_events());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ClockMarks,
+    ::testing::Values(MarkLockstepCase{1, false}, MarkLockstepCase{2, false},
+                      MarkLockstepCase{3, false}, MarkLockstepCase{1, true},
+                      MarkLockstepCase{2, true}, MarkLockstepCase{3, true},
+                      MarkLockstepCase{4, true}, MarkLockstepCase{5, true}),
+    [](const ::testing::TestParamInfo<MarkLockstepCase>& info) {
+      return "seed" + std::to_string(info.param.seed) +
+             (info.param.hooked ? "_hooked" : "_unhooked");
+    });
+
+TEST(ClockMarks, ShardedWindowsMatchEmptyEvents) {
+  // Two shards, each its own program; the engine opens every window at the
+  // earliest pending time across both, marks included.
+  struct Side {
+    Side(std::uint64_t seed, bool use_marks)
+        : engine(2),
+          hook({&engine.shard(0), &engine.shard(1)}, 13) {
+      engine.set_lookahead(9);
+      engine.set_threads(1);
+      engine.set_time_hook(&hook);
+      for (std::size_t i = 0; i < 2; ++i) {
+        programs.push_back(std::make_unique<MarkProgram>(
+            engine.shard(i), seed * 2 + i, use_marks));
+      }
+    }
+    ShardedEngine engine;
+    ClockLog hook;
+    std::vector<std::unique_ptr<MarkProgram>> programs;
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Side marks(seed, true);
+    Side reference(seed, false);
+    Rng choices(seed * 104729 + 3);
+    for (int step = 0; step < 1000; ++step) {
+      const std::uint64_t op = choices.next_below(4);
+      if (op < 2) {
+        const std::size_t shard = choices.next_below(2);
+        const std::uint64_t n = 1 + choices.next_below(4);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          marks.programs[shard]->act();
+          reference.programs[shard]->act();
+        }
+      } else if (op == 2) {
+        const SimTime h = reference.engine.now() +
+                          static_cast<SimTime>(choices.next_below(60));
+        marks.engine.run_until(h);
+        reference.engine.run_until(h);
+      } else {
+        marks.engine.run();
+        reference.engine.run();
+      }
+      ASSERT_EQ(marks.engine.windows(), reference.engine.windows())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(marks.engine.now(), reference.engine.now())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(marks.hook.log, reference.hook.log)
+          << "seed " << seed << " step " << step;
+      for (std::size_t i = 0; i < 2; ++i) {
+        ASSERT_EQ(marks.engine.shard(i).now(), reference.engine.shard(i).now())
+            << "seed " << seed << " step " << step << " shard " << i;
+        ASSERT_EQ(marks.engine.shard(i).next_event_time(),
+                  reference.engine.shard(i).next_event_time())
+            << "seed " << seed << " step " << step << " shard " << i;
+        ASSERT_EQ(marks.programs[i]->log, reference.programs[i]->log)
+            << "seed " << seed << " step " << step << " shard " << i;
+      }
+    }
+    EXPECT_GT(reference.engine.windows(), 400u) << "seed " << seed;
+  }
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
