@@ -81,7 +81,6 @@ void Cc_Incast(benchmark::State& state) {
     conserved = ledger.conserved();
     completed = res.completed;
     fp = fabric.fingerprint();
-    benchmark::DoNotOptimize(fp);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(offered));

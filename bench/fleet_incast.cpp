@@ -102,7 +102,6 @@ void Fleet_Incast(benchmark::State& state) {
     conserved = ledger.conserved();
     completed = res.completed;
     fp = fabric.fingerprint();
-    benchmark::DoNotOptimize(fp);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(offered));

@@ -248,7 +248,6 @@ void SimCore_Cluster(benchmark::State& state) {
     exchanged = engine.exchanged();
     threads = engine.threads();
     fp = cluster::fingerprint(*c);
-    benchmark::DoNotOptimize(fp);
   }
   state.SetItemsProcessed(state.iterations() * events);
 

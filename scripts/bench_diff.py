@@ -21,6 +21,11 @@ current run is armed); entries the baseline has but `current` lost are
 regressions. The tolerance flags do not apply — the series are integer
 samples of a deterministic run, so any drift is a model change.
 
+Registry snapshots are gated the same way: the snapshots sharing a label
+(a label may repeat) get one canonical-JSON fingerprint, and a label the
+baseline has must be present in `current` with the same fingerprint.
+Labels that exist only in `current` are allowed.
+
 Stdlib-only so CI can run it on a bare python3.
 
 Usage:
@@ -58,6 +63,15 @@ def _scrapes_by_label(doc):
         if isinstance(entry, dict) and isinstance(entry.get("label"), str):
             entries[entry["label"]] = entry
     return entries
+
+
+def _snapshot_digests(doc):
+    """One fingerprint per snapshot label, over its snapshots in order."""
+    groups = {}
+    for entry in doc.get("snapshots", []):
+        if isinstance(entry, dict) and isinstance(entry.get("label"), str):
+            groups.setdefault(entry["label"], []).append(entry.get("snapshot"))
+    return {label: _fingerprint(snaps) for label, snaps in groups.items()}
 
 
 def _fingerprint(obj):
@@ -109,6 +123,26 @@ def diff_scrapes(baseline, current, out=sys.stdout):
     return regressions
 
 
+def diff_snapshots(baseline, current, out=sys.stdout):
+    """Per-label snapshot fingerprint diff; returns the number of
+    regressions."""
+    base = _snapshot_digests(baseline)
+    cur = _snapshot_digests(current)
+    regressions = 0
+    for label in sorted(base):
+        if label not in cur:
+            print(f"MISSING snapshot {label!r} (present in baseline)",
+                  file=out)
+            regressions += 1
+        elif base[label] != cur[label]:
+            print(f"DIFF snapshot {label}: fingerprint "
+                  f"{base[label]} -> {cur[label]}", file=out)
+            regressions += 1
+    for label in sorted(set(cur) - set(base)):
+        print(f"NEW snapshot {label}", file=out)
+    return regressions
+
+
 def _differs(base, cur, rel_tol, abs_tol):
     """True when the two counter values are meaningfully different."""
     if isinstance(base, str) or isinstance(cur, str):
@@ -153,6 +187,7 @@ def diff(baseline, current, rel_tol, abs_tol, out=sys.stdout):
         print(f"NEW point {name}", file=out)
 
     regressions += diff_scrapes(baseline, current, out=out)
+    regressions += diff_snapshots(baseline, current, out=out)
     return regressions
 
 
@@ -257,6 +292,45 @@ def self_test():
     assert diff(scraped, extra_series, 1e-6, 1e-9, out=io.StringIO()) == 3, \
         "an extra series must be caught (series, points, fingerprint)"
 
+    # --- snapshot fingerprints --------------------------------------------
+    snapped = copy.deepcopy(baseline)
+    snapped["snapshots"] = [
+        {"label": "a", "snapshot": {"metrics": [
+            {"path": "sw/port/l0/queued_bytes", "kind": "gauge",
+             "value": 9014}]}},
+        {"label": "a", "snapshot": {"metrics": [
+            {"path": "sw/port/l0/queued_bytes", "kind": "gauge",
+             "value": 0}]}},
+        {"label": "b", "snapshot": {"metrics": [
+            {"path": "l0/drops_queue", "kind": "counter", "value": 3}]}},
+    ]
+    same_snapshots = copy.deepcopy(snapped)
+    assert diff(snapped, same_snapshots, 1e-6, 1e-9, out=io.StringIO()) == 0, \
+        "identical snapshots must not diff"
+
+    changed_value = copy.deepcopy(snapped)
+    changed_value["snapshots"][1]["snapshot"]["metrics"][0]["value"] = 1
+    assert diff(snapped, changed_value, 1e-6, 1e-9, out=io.StringIO()) == 1, \
+        "one changed snapshot value must be caught"
+    assert diff(snapped, changed_value, 0.9, 10.0, out=io.StringIO()) == 1, \
+        "the tolerances must not absorb a snapshot change"
+
+    lost_label = copy.deepcopy(snapped)
+    del lost_label["snapshots"][2]
+    assert diff(snapped, lost_label, 1e-6, 1e-9, out=io.StringIO()) == 1, \
+        "a snapshot label the baseline has but current lost must be caught"
+
+    lost_repeat = copy.deepcopy(snapped)
+    del lost_repeat["snapshots"][1]
+    assert diff(snapped, lost_repeat, 1e-6, 1e-9, out=io.StringIO()) == 1, \
+        "a dropped snapshot under a repeated label must be caught"
+
+    new_label = copy.deepcopy(snapped)
+    new_label["snapshots"].append(
+        {"label": "c", "snapshot": {"metrics": []}})
+    assert diff(snapped, new_label, 1e-6, 1e-9, out=io.StringIO()) == 0, \
+        "a snapshot label that exists only in current must be allowed"
+
     print("bench_diff.py self-test: OK")
     return 0
 
@@ -286,9 +360,11 @@ def main(argv):
     regressions = diff(baseline, current, args.rel_tol, args.abs_tol)
     npoints = len(_points_by_name(baseline))
     nscrapes = len(_scrapes_by_label(baseline))
+    nsnapshots = len(_snapshot_digests(baseline))
     if regressions == 0:
         print(f"OK: {npoints} baseline points matched within tolerance, "
-              f"{nscrapes} scrapes matched structurally")
+              f"{nscrapes} scrapes matched structurally, "
+              f"{nsnapshots} snapshot labels matched")
         return 0
     print(f"FAIL: {regressions} regression(s) against {npoints} baseline points",
           file=sys.stderr)

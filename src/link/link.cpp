@@ -106,7 +106,7 @@ sim::SimTime Link::serialization_time(const net::Packet& pkt) const {
 }
 
 std::uint32_t Link::backlog(const NetDevice* from) const {
-  return from == a_ ? ab_.backlog_bytes : ba_.backlog_bytes;
+  return from == a_ ? ab_.backlog() : ba_.backlog();
 }
 
 void Link::Channel::commit_entry(std::size_t index) {
@@ -123,54 +123,34 @@ void Link::Channel::commit_entry(std::size_t index) {
                     [rec]() { rec->sink->deliver(rec->pkt); });
 }
 
-void Link::transmit(const NetDevice* from, const net::Packet& pkt,
-                    sim::InlineCallback tx_done) {
+std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
+                                                   const net::Packet& pkt) {
   assert(from == a_ || from == b_);
   const bool forward = (from == a_);
   Direction& dir = forward ? ab_ : ba_;
   NetDevice* sink = forward ? b_ : a_;
   sim::Simulator& sim = *dir.sim;
 
+  const std::uint32_t backlog = dir.backlog();
   if (spec_.queue_limit_bytes != 0 &&
-      dir.backlog_bytes + pkt.frame_bytes > spec_.queue_limit_bytes) {
+      backlog + pkt.frame_bytes > spec_.queue_limit_bytes) {
     ++dir.drops_queue;
     if (dir.trace) {
       dir.trace->record_packet(obs::EventType::kWireDrop, sim.now(), pkt,
                                name_.c_str(), "queue-full");
     }
     if (spans_) spans_->abort(pkt);
-    if (tx_done) sim.schedule(0, std::move(tx_done));
-    return;
+    return std::nullopt;
   }
 
   if (tap) tap(pkt, forward);
-  dir.backlog_bytes += pkt.frame_bytes;
+  dir.backlog_bytes = backlog + pkt.frame_bytes;
   if (dir.backlog_bytes > dir.peak_backlog) {
     dir.peak_backlog = dir.backlog_bytes;
   }
-  const sim::SimTime ser = serialization_time(pkt);
-  sim::SimTime done_at;
-  if (tx_done) {
-    // The continuation closes over a caller callback that can exceed the
-    // inline buffer; park it in a pooled node so the hot path stays
-    // allocation-free. The node is cleared after firing so whatever the
-    // callback captured is released immediately, not at node reuse.
-    auto cont = dir.cont_pool.acquire();
-    *cont = std::move(tx_done);
-    done_at = dir.pipe.submit(
-        ser, [dirp = &dir, bytes = pkt.frame_bytes, cont]() {
-          dirp->backlog_bytes =
-              dirp->backlog_bytes > bytes ? dirp->backlog_bytes - bytes : 0;
-          (*cont)();
-          *cont = nullptr;
-        });
-  } else {
-    done_at =
-        dir.pipe.submit(ser, [dirp = &dir, bytes = pkt.frame_bytes]() {
-          dirp->backlog_bytes =
-              dirp->backlog_bytes > bytes ? dirp->backlog_bytes - bytes : 0;
-        });
-  }
+  const sim::Simulator::Mark done =
+      dir.pipe.submit_mark(serialization_time(pkt));
+  dir.serializing.push_back(Serializing{done, pkt.frame_bytes});
 
   // Scripted/legacy injector first (forced drops + LinkSpec loss), then the
   // direction's own plan. A frame the script loses never reaches the
@@ -215,7 +195,7 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
       spans_->mark(pkt, obs::Stage::kWire, now);
     }
   }
-  if (verdict.drop) return;
+  if (verdict.drop) return done;
 
   if (sink != nullptr) {
     ++dir.frames;
@@ -223,7 +203,7 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
     net::Packet out = pkt;
     if (verdict.corrupt) out.corrupted = true;
     const sim::SimTime arrival =
-        done_at + spec_.propagation + verdict.extra_delay;
+        done.time + spec_.propagation + verdict.extra_delay;
     if (dir.use_channel) {
       Channel& channel = forward ? ab_channel_ : ba_channel_;
       channel.push(arrival, out);
@@ -237,6 +217,7 @@ void Link::transmit(const NetDevice* from, const net::Packet& pkt,
       }
     }
   }
+  return done;
 }
 
 void Link::deliver_later(Direction& dir, NetDevice* sink,

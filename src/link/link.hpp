@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,14 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 /// half-duplex mode) with propagation delay, optional queue limit (tail
 /// drop), and optional random loss.
 ///
+/// A frame's serialization is a job without a continuation on its
+/// direction's serializer Resource, so its completion is a clock mark, not
+/// an event. transmit() returns that mark; the direction keeps each
+/// serializing frame's mark and bytes in a FIFO and derives its backlog
+/// from them, dropping the reached ones from the front before every read
+/// or write. A caller that waits for the transmitter (an adapter whose DMA
+/// stalled on a full FIFO) schedules at the mark itself.
+///
 /// Two construction modes:
 ///  - Classic: both directions schedule on one Simulator. Each direction
 ///    keeps its frames on the wire in a FIFO ring with one pending delivery
@@ -94,11 +103,13 @@ class Link {
   NetDevice* a() const { return a_; }
   NetDevice* b() const { return b_; }
 
-  /// Serializes `pkt` from side `from` toward the other side; the callback
-  /// (optional) fires when serialization completes (transmitter freed),
-  /// whether or not the frame was dropped.
-  void transmit(const NetDevice* from, const net::Packet& pkt,
-                sim::InlineCallback tx_done = nullptr);
+  /// Serializes `pkt` from side `from` toward the other side and returns
+  /// its completion mark: the instant the transmitter frees, whether or not
+  /// the frame is then lost on the wire. Simulator::reached() on it answers
+  /// whether a completion event there would have run. A frame the queue
+  /// limit refuses never serializes and returns no mark.
+  std::optional<sim::Simulator::Mark> transmit(const NetDevice* from,
+                                               const net::Packet& pkt);
 
   const LinkSpec& spec() const { return spec_; }
   const std::string& name() const { return name_; }
@@ -174,7 +185,8 @@ class Link {
   /// Effective data rate (bits/s available to frames).
   double effective_rate_bps() const;
 
-  /// Backlog queued for transmission from the given side, bytes.
+  /// Backlog queued for transmission from the given side, bytes: the
+  /// frames whose completion mark is not reached yet.
   std::uint32_t backlog(const NetDevice* from) const;
 
   /// Wire tap: invoked for every frame as it begins serialization (before
@@ -223,12 +235,34 @@ class Link {
     net::Packet pkt;
   };
 
+  /// A frame on the serializer: its completion mark and its bytes.
+  struct Serializing {
+    sim::Simulator::Mark done;
+    std::uint32_t bytes = 0;
+  };
+
   struct Direction {
     Direction(sim::Simulator& simulator, const std::string& n)
         : sim(&simulator), pipe(simulator, n) {}
+
+    /// Bytes whose completion mark is not reached yet. Drops the reached
+    /// frames first, so it is exact at any read; the marks are reached in
+    /// FIFO order (finish times never decrease).
+    std::uint32_t backlog() const {
+      while (!serializing.empty() &&
+             sim->reached(serializing.front().done)) {
+        backlog_bytes -= serializing.front().bytes;
+        serializing.pop_front();
+      }
+      return backlog_bytes;
+    }
+
     sim::Simulator* sim;  // the transmitter's shard
     sim::Resource pipe;
-    std::uint32_t backlog_bytes = 0;
+    // Frames not known to be off the serializer, in transmit order, and
+    // their bytes. Mutable: reading the backlog drops the reached ones.
+    mutable sim::BlockFifo<Serializing> serializing;
+    mutable std::uint32_t backlog_bytes = 0;
     std::uint32_t peak_backlog = 0;
     std::uint64_t frames = 0;
     std::uint64_t bytes = 0;
@@ -243,10 +277,9 @@ class Link {
     // Classic mode: frames on the wire in arrival order; only the head has
     // a pending event.
     sim::BlockFifo<InFlight> ring;
-    // Classic-mode pools (sharded deliveries use the channel's pool).
-    // delivery_pool backs the per-frame events of out-of-order arrivals.
+    // Classic-mode pool (sharded deliveries use the channel's pool) for
+    // the per-frame events of out-of-order arrivals.
     sim::Pool<DeliveryRec> delivery_pool;
-    sim::Pool<sim::InlineCallback> cont_pool;
   };
 
   /// Exchange buffer for one direction of a sharded link. Appended to by

@@ -8,6 +8,10 @@ namespace xgbe::link {
 
 /// One switch port: receives frames from its link and forwards them into
 /// the fabric; egress frames queue here until the link transmitter frees.
+/// The queue depth is the link's backlog from this side, which the link
+/// derives from its frames' completion marks, plus the frames the link
+/// refused, each released by a zero-delay event as a transmitter freed at
+/// once would be.
 class EthernetSwitch::Port : public NetDevice {
  public:
   enum class AqmVerdict { kPass, kMark, kEarlyDrop };
@@ -31,12 +35,15 @@ class EthernetSwitch::Port : public NetDevice {
   }
 
   void send(const net::Packet& pkt) {
-    queued_ += pkt.frame_bytes;
-    if (queued_ > peak_queued_) peak_queued_ = queued_;
     ++forwarded_;
-    wire_->transmit(this, pkt, [this, bytes = pkt.frame_bytes]() {
-      queued_ = queued_ > bytes ? queued_ - bytes : 0;
-    });
+    if (!wire_->transmit(this, pkt)) {
+      refused_ += pkt.frame_bytes;
+      parent_.sim_.schedule(
+          0, [this, bytes = pkt.frame_bytes] { refused_ -= bytes; });
+    }
+    // The frame counts in the depth either way, on the wire or refused.
+    const std::uint32_t depth = queued();
+    if (depth > peak_queued_) peak_queued_ = depth;
   }
 
   void note_tail_drop() { ++dropped_full_; }
@@ -48,7 +55,7 @@ class EthernetSwitch::Port : public NetDevice {
   /// must be called exactly once per arriving frame.
   AqmVerdict aqm_decide(const net::Packet& pkt, const AqmSpec& aqm) {
     const std::uint64_t inst =
-        static_cast<std::uint64_t>(queued_) + pkt.frame_bytes;
+        static_cast<std::uint64_t>(queued()) + pkt.frame_bytes;
     if (aqm.mode == AqmMode::kEcnThreshold) {
       // DCTCP-style marking: instantaneous depth against K. Non-ECT
       // traffic is left to the tail-drop limit.
@@ -81,7 +88,7 @@ class EthernetSwitch::Port : public NetDevice {
     return buffer_override_ != 0 ? buffer_override_ : spec_default;
   }
 
-  std::uint32_t queued() const { return queued_; }
+  std::uint32_t queued() const { return wire_->backlog(this) + refused_; }
   std::uint32_t peak_queued() const { return peak_queued_; }
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t dropped_full() const { return dropped_full_; }
@@ -97,7 +104,7 @@ class EthernetSwitch::Port : public NetDevice {
   int index_;
   Link* wire_;
   bool side_a_;
-  std::uint32_t queued_ = 0;
+  std::uint32_t refused_ = 0;  // refused by the link, not yet released
   std::uint32_t peak_queued_ = 0;
   std::uint32_t buffer_override_ = 0;  // 0: use the switch-wide spec value
   std::uint64_t forwarded_ = 0;

@@ -90,11 +90,13 @@ void Adapter::dma_next_tx() {
           "tx-ring"));
     }
     arm_tx_stall_recovery();
+    arm_tx_wake();
     return;
   }
   // Stall DMA while the on-board FIFO is full (wire slower than the bus).
-  if (tx_fifo_used_ + tx_queue_.front().frame_bytes > spec_.tx_fifo_bytes) {
+  if (tx_fifo_used() + tx_queue_.front().frame_bytes > spec_.tx_fifo_bytes) {
     tx_dma_active_ = false;
+    arm_tx_wake();
     return;
   }
   tx_dma_active_ = true;
@@ -117,9 +119,32 @@ void Adapter::dma_next_tx() {
   *rec = std::move(pkt);
   pci_.submit(bus_time, [this, rec]() {
     if (rec->trace.enabled) rec->trace.t_dma_done = sim_.now();
-    tx_fifo_used_ += rec->frame_bytes;
+    // The wire frames of a TSO super-segment free more than it occupies,
+    // and the count saturates at zero, so the frames that left before now
+    // must leave before it grows.
+    tx_fifo_used_ = tx_fifo_used() + rec->frame_bytes;
     emit_wire_frames(*rec);
     dma_next_tx();
+  });
+}
+
+std::uint32_t Adapter::tx_fifo_used() {
+  while (!tx_on_wire_.empty() && sim_.reached(tx_on_wire_.front().done)) {
+    release_tx_fifo(tx_on_wire_.front().bytes);
+    tx_on_wire_.pop_front();
+  }
+  return tx_fifo_used_;
+}
+
+void Adapter::arm_tx_wake() {
+  if (tx_wake_armed_) return;
+  tx_fifo_used();  // the front is now the first frame still serializing
+  if (tx_on_wire_.empty()) return;
+  const sim::Simulator::Mark next = tx_on_wire_.front().done;
+  tx_wake_armed_ = true;
+  sim_.schedule_reserved(next.time, next.seq, [this]() {
+    tx_wake_armed_ = false;
+    if (!tx_dma_active_) dma_next_tx();
   });
 }
 
@@ -127,8 +152,15 @@ void Adapter::emit_wire_frames(const net::Packet& pkt) {
   if (wire_ == nullptr) return;
   auto send_one = [this](const net::Packet& frame) {
     ++tx_frames_;
-    wire_->transmit(this, frame, [this, bytes = frame.frame_bytes]() {
-      tx_fifo_used_ = tx_fifo_used_ > bytes ? tx_fifo_used_ - bytes : 0;
+    if (const auto done = wire_->transmit(this, frame)) {
+      tx_on_wire_.push_back(OnWire{*done, frame.frame_bytes});
+      return;
+    }
+    // Refused by the link: the FIFO lets go of it in a zero-delay event,
+    // as a transmitter freed at once would.
+    sim_.schedule(0, [this, bytes = frame.frame_bytes]() {
+      tx_fifo_used();
+      release_tx_fifo(bytes);
       if (!tx_dma_active_) dma_next_tx();
     });
   };

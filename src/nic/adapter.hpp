@@ -13,6 +13,7 @@
 #include "hw/pcix.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
+#include "sim/block_fifo.hpp"
 #include "sim/random.hpp"
 #include "net/packet.hpp"
 #include "sim/resource.hpp"
@@ -143,6 +144,17 @@ class Adapter : public link::NetDevice {
  private:
   void receive_frame(const net::Packet& arrived);
   void dma_next_tx();
+  /// Bytes in the on-board tx FIFO. Lets go of the wire frames whose
+  /// completion mark is reached first, so it is exact at any read.
+  std::uint32_t tx_fifo_used();
+  void release_tx_fifo(std::uint32_t bytes) {
+    tx_fifo_used_ = tx_fifo_used_ > bytes ? tx_fifo_used_ - bytes : 0;
+  }
+  /// DMA stalled (full FIFO or tx-ring stall): retries it at the first
+  /// wire completion not reached yet, since each completion frees FIFO
+  /// space and, under a tx-ring stall, each retry counts. At most one wake
+  /// is pending.
+  void arm_tx_wake();
   void emit_wire_frames(const net::Packet& pkt);
   void try_raise_interrupt();
   void raise_interrupt();
@@ -174,7 +186,15 @@ class Adapter : public link::NetDevice {
 
   std::deque<net::Packet> tx_queue_;  // awaiting DMA
   bool tx_dma_active_ = false;
+  bool tx_wake_armed_ = false;
+  // FIFO bytes, counted down lazily by tx_fifo_used() as the wire frames in
+  // tx_on_wire_ (completion mark and bytes, in transmit order) complete.
   std::uint32_t tx_fifo_used_ = 0;
+  struct OnWire {
+    sim::Simulator::Mark done;
+    std::uint32_t bytes = 0;
+  };
+  sim::BlockFifo<OnWire> tx_on_wire_;
 
   // DMA completion records and interrupt batches are pool-recycled: a
   // Packet capture overflows InlineCallback's 48-byte inline buffer, so

@@ -46,10 +46,6 @@ class EventQueue {
   /// Takes the next tie-break sequence without scheduling anything.
   std::uint64_t reserve_seq() { return next_seq_++; }
 
-  /// The sequence the next schedule() or reserve_seq() will take. Reading
-  /// it takes nothing.
-  std::uint64_t next_seq() const { return next_seq_; }
-
   /// Schedules `cb` at `at` with a sequence from reserve_seq(). Each
   /// reserved sequence may be used at most once.
   EventId schedule(SimTime at, std::uint64_t seq, Callback cb);

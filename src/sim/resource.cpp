@@ -9,19 +9,25 @@ Resource::~Resource() {
   if (queue_ && !queue_->jobs.empty()) sim_.cancel(queue_->head_event);
 }
 
-SimTime Resource::submit(SimTime cost, InlineCallback done) {
+SimTime Resource::book(SimTime cost) {
   if (cost < 0) cost = 0;
-  const bool waits = !idle();
   const SimTime finish = finish_if_submitted(cost);
   busy_until_ = finish;
   busy_accum_ += cost;
   ++jobs_;
-  if (!done) {
-    // Nobody waits on this job: it needs its busy time and the clock's
-    // reach, not an event.
-    sim_.mark(finish);
-    return finish;
-  }
+  return finish;
+}
+
+Simulator::Mark Resource::submit_mark(SimTime cost) {
+  // Nobody waits on this job: it needs its busy time and the clock's
+  // reach, not an event.
+  return sim_.mark(book(cost));
+}
+
+SimTime Resource::submit(SimTime cost, InlineCallback done) {
+  if (!done) return submit_mark(cost).time;
+  const bool waits = !idle();
+  const SimTime finish = book(cost);
   if (!waits) {
     // Nothing to wait behind: the completion is the job's own event. Jobs
     // still queued here all finish by now, so they pop first either way.

@@ -23,15 +23,17 @@ namespace xgbe::sim {
 /// A job without a continuation ends in a clock mark (Simulator::mark at
 /// its finish time): it keeps its busy time, and the clock reaches its
 /// finish exactly as if an empty event sat there, but it is no event and
-/// takes no FIFO slot. Every job with a continuation completes in its own
-/// event. One that finds the resource idle is scheduled at once. One that
-/// arrives while the resource is busy waits in a FIFO with the tie-break
-/// sequence it reserved at submit(), and only the FIFO's head has an event
-/// in the simulator's pending set. Finish times never decrease (a job
-/// starts at max(busy_until, now)), so scheduling each head when its
-/// predecessor completes pops the jobs in exactly the (time, seq) order one
-/// event per job would give, and the event heap no longer grows with the
-/// queue. The FIFO is allocated when a job first has to wait, so a resource
+/// takes no FIFO slot. submit_mark() hands the mark back, so a caller that
+/// counts what such jobs complete (a Link's backlog) can ask
+/// Simulator::reached() instead of waiting on an event. Every job with a
+/// continuation completes in its own event. One that finds the resource
+/// idle is scheduled at once. One that arrives while the resource is busy
+/// waits in a FIFO with the tie-break sequence it reserved at submit(), and
+/// only the FIFO's head has an event in the simulator's pending set. Finish
+/// times never decrease (a job starts at max(busy_until, now)), so
+/// scheduling each head when its predecessor completes pops the jobs in
+/// exactly the (time, seq) order one event per job would give, and the
+/// event heap no longer grows with the queue. The FIFO is allocated when a job first has to wait, so a resource
 /// that never queues allocates nothing. Destroying a Resource cancels its
 /// pending head and drops the queued jobs uncalled; the marks of its jobs
 /// without a continuation stay pending.
@@ -47,6 +49,10 @@ class Resource {
   /// Enqueues a job of length `cost`; `done` (optional) fires at completion.
   /// Returns the completion time. `done` may submit to this Resource again.
   SimTime submit(SimTime cost, InlineCallback done = nullptr);
+
+  /// Enqueues a job of length `cost` that nobody waits on, and returns the
+  /// clock mark its completion takes.
+  Simulator::Mark submit_mark(SimTime cost);
 
   /// Earliest time a newly submitted job would start.
   SimTime available_at() const {
@@ -92,6 +98,9 @@ class Resource {
     EventId head_event;
   };
 
+  /// Books a job of length `cost` (negative counts as 0) behind the busy
+  /// period and returns its finish time.
+  SimTime book(SimTime cost);
   /// Schedules the completion event of the queue's front job.
   void schedule_head();
   /// The head's event: pops the job, schedules the next head, then runs the

@@ -105,10 +105,11 @@ void ShardedEngine::run_until(SimTime horizon) {
   }
   // Event supply ended (or starts past the horizon): advance every shard
   // clock to the horizon so bounded waits make progress, exactly like
-  // Simulator::run_until. run() passes SimTime max; leave clocks alone then.
+  // Simulator::run_until, which leaves a clock past the horizon alone.
+  // run() passes SimTime max; leave clocks alone then.
   if (horizon != kForever) {
     for (auto& shard : shards_) shard->run_until(horizon);
-    now_ = horizon;
+    now_ = std::max(now_, horizon);
     if (hook_ != nullptr) {
       while (hook_->due() <= horizon) hook_->advance(hook_->due());
     }

@@ -111,7 +111,8 @@ class ShardedEngine {
 
   /// Runs windows until `horizon` (inclusive for events at exactly
   /// `horizon`). Advances every shard clock to `horizon` when the event
-  /// supply ends early, mirroring Simulator::run_until.
+  /// supply ends early, mirroring Simulator::run_until; no clock moves
+  /// back.
   void run_until(SimTime horizon);
 
   /// Requests that run() return at the next barrier.
@@ -120,7 +121,8 @@ class ShardedEngine {
   /// True when the last run ended on a stop (engine or any shard).
   bool stopped() const { return stopped_; }
 
-  /// Committed global time (== horizon after a completed run_until).
+  /// Committed global time (the horizon after a completed run_until, unless
+  /// it was already past it).
   SimTime now() const { return now_; }
 
   /// Sum of events executed across all shards.

@@ -25,7 +25,9 @@ void Simulator::run_until(SimTime horizon) {
       // No event at or before the horizon, so the marks there run too. The
       // run drains unless a mark is pending past the horizon.
       if (!events && !(live(last_mark_) && last_mark_.time > horizon)) break;
-      set_clock(horizon);
+      // A horizon behind the clock runs nothing and leaves it alone, so the
+      // marks it passed stay passed.
+      if (horizon >= now_) set_clock(horizon);
       return;
     }
     auto fired = queue_.pop();
@@ -92,15 +94,6 @@ void Simulator::compact_marks() {
   // Pending marks stay, so grow the threshold with them: compaction then
   // costs O(1) per mark however many are pending at once.
   compact_at_ = std::max(kCompactFloor, 2 * kept);
-}
-
-void Simulator::drop_passed_marks() {
-  compact_marks();
-  while (!mark_heap_.empty() && !live(mark_heap_.front())) {
-    std::pop_heap(mark_heap_.begin(), mark_heap_.end(), after);
-    mark_heap_.pop_back();
-  }
-  if (!live(last_mark_)) last_mark_ = kNoMark;
 }
 
 void Simulator::run_marks_through(SimTime bound) {

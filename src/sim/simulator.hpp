@@ -1,6 +1,7 @@
 // Discrete-event simulation driver.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -72,26 +73,43 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// A clock mark: the time and the tie-break sequence of the empty event
+  /// it stands for.
+  struct Mark {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+  };
+
   /// Marks time `at` (clamped to `now()`) as reached by the model without
-  /// scheduling anything: a job nobody waits on still moves the clock. The
+  /// scheduling anything, and returns the mark: a job nobody waits on still
+  /// moves the clock. The mark reserves its sequence (reserve_seq()). The
   /// clock at every run return and TimeHook firing, has_pending() and
   /// next_event_time() behave exactly as if an empty event had been
-  /// scheduled at `at` right now, but a mark runs nothing, takes no
-  /// sequence, cannot be cancelled, and counts in neither
-  /// executed_events() nor pending_events().
-  void mark(SimTime at) {
-    const Mark m{at < now_ ? now_ : at, queue_.next_seq()};
+  /// scheduled at `at` right now, but a mark runs nothing, cannot be
+  /// cancelled, and counts in neither executed_events() nor
+  /// pending_events(). reached() says when that event would have run;
+  /// schedule_reserved(m.time, m.seq, cb) runs `cb` exactly there.
+  Mark mark(SimTime at) {
+    const Mark m{at < now_ ? now_ : at, queue_.reserve_seq()};
     if (before(last_mark_, m)) last_mark_ = m;
     marks_.push_back(m);
     if (marks_.size() >= compact_at_) compact_marks();
+    return m;
   }
+
+  /// True once an event at `m`'s (time, seq) would have run: the clock has
+  /// passed it, or the event running now is that one or a later one. The
+  /// clock never runs backwards, so once true it stays true; a component
+  /// can hold marks and count lazily what they complete.
+  bool reached(const Mark& m) const { return !live(m); }
 
   /// Runs until the event set drains or stop() is called.
   void run() { run_until(std::numeric_limits<SimTime>::max()); }
 
   /// Runs until `horizon` (inclusive for events at exactly `horizon`),
   /// the event set drains, or stop() is called. The clock advances to the
-  /// last executed event, never past `horizon`.
+  /// last executed event, never past `horizon`, and never moves back: a
+  /// horizon behind the clock runs nothing and leaves it alone.
   void run_until(SimTime horizon);
 
   /// Requests that run() return after the current event completes.
@@ -142,12 +160,6 @@ class Simulator {
  private:
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
-  /// A clock mark: its time, and the sequence an empty event scheduled in
-  /// its place would have ordered by (the queue's next, not taken).
-  struct Mark {
-    SimTime time;
-    std::uint64_t seq;
-  };
   static bool before(const Mark& a, const Mark& b) {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
@@ -169,13 +181,10 @@ class Simulator {
   SimTime first_live_mark() const;
   /// Drops the passed marks from the unsorted ones.
   void compact_marks();
-  /// Drops every passed mark, before the clock moves back.
-  void drop_passed_marks();
-  /// Moves the clock to `t` without an event: every mark at or before `t`
-  /// counts as run.
+  /// Moves the clock forward to `t` without an event: every mark at or
+  /// before `t` counts as run.
   void set_clock(SimTime t) {
-    // A clock moved back must not revive the marks it had passed.
-    if (t < now_) drop_passed_marks();
+    assert(t >= now_);
     now_ = t;
     // Every mark taken so far has a sequence at or below this one.
     last_seq_ = queue_.reserve_seq();

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "link/switch.hpp"
 #include "link/wan.hpp"
 #include "net/headers.hpp"
+#include "sim/simulator.hpp"
 
 namespace xgbe::link {
 namespace {
@@ -185,14 +188,15 @@ TEST(Link, ReorderAndDuplicateKeepArrivalThenTransmitOrder) {
   }
 
   // Ledger: every offered frame delivered once, plus one extra copy per
-  // duplicate; nothing dropped; one event per serialization and per copy.
+  // duplicate; nothing dropped; one event per copy (a serialization is a
+  // clock mark, not an event).
   const fault::FaultCounters faults = l.fault_counters();
   EXPECT_EQ(faults.duplicates, replay.counters().duplicates);
   EXPECT_EQ(faults.reorders, replay.counters().reorders);
   EXPECT_EQ(l.frames_delivered(true), static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(l.drops_queue() + l.drops_forced() + l.drops_random(), 0u);
   EXPECT_EQ(got.size(), kFrames + faults.duplicates);
-  EXPECT_EQ(s.executed_events(), 2 * kFrames + faults.duplicates);
+  EXPECT_EQ(s.executed_events(), kFrames + faults.duplicates);
 }
 
 TEST(Link, PosFramingReplacesEthernet) {
@@ -314,6 +318,151 @@ TEST(SwitchAggregation, ManyInputsToOneOutput) {
   }
   s.run();
   EXPECT_EQ(hosts[0]->packets.size(), 30u);
+}
+
+// --- Exact pins for an egress link that refuses what its port admitted ------
+//
+// The egress link's queue limit (45,000 bytes) sits below the port buffer,
+// so the link refuses frames the port already counted. A refused frame
+// stays in the port's queue depth until its zero-delay release runs, so
+// the peak can exceed the link's limit. A TimeHook reads the depth every
+// 2 us between events; tail drop, RED and ECN-threshold marking each pin
+// that log, the peak, the AQM counters and the link's refusals.
+
+/// Reads one port's queue depth at fixed boundaries (FNV-1a over the
+/// readings).
+class QueueDepthProbe final : public sim::TimeHook {
+ public:
+  QueueDepthProbe(const EthernetSwitch& sw, int port, sim::SimTime period)
+      : sw_(sw), port_(port), period_(period), due_(period) {}
+  sim::SimTime due() const override { return due_; }
+  void advance(sim::SimTime at) override {
+    const std::uint32_t depth = sw_.queued_bytes(port_);
+    for (int i = 0; i < 4; ++i) {
+      fnv ^= (depth >> (8 * i)) & 0xffu;
+      fnv *= 1099511628211ULL;
+    }
+    ++readings;
+    if (depth > 0) ++busy_readings;
+    due_ = at + period_;
+  }
+  std::uint64_t fnv = 1469598103934665603ULL;
+  std::uint64_t readings = 0;
+  std::uint64_t busy_readings = 0;
+
+ private:
+  const EthernetSwitch& sw_;
+  int port_;
+  sim::SimTime period_;
+  sim::SimTime due_;
+};
+
+struct EgressPin {
+  std::size_t delivered = 0;
+  std::uint64_t depth_fnv = 0;
+  std::uint64_t busy_readings = 0;
+  std::uint32_t peak = 0;
+  std::uint64_t dropped_queue_full = 0;
+  std::uint64_t dropped_red = 0;
+  std::uint64_t ce_marked = 0;
+  std::uint64_t link_drops_queue = 0;
+};
+
+/// Three 10 Gb/s senders into one 2.5 Gb/s egress port whose link holds at
+/// most 45,000 bytes; 128 KB of port buffer. Frame sizes vary, and two of
+/// the three senders are ECN-capable.
+EgressPin run_refusing_egress(const AqmSpec& aqm) {
+  sim::Simulator s;
+  SwitchSpec spec;
+  spec.port_buffer_bytes = 128 * 1024;
+  spec.aqm = aqm;
+  EthernetSwitch sw(s, spec, "sw");
+  std::vector<std::unique_ptr<Link>> links;
+  std::vector<std::unique_ptr<SinkDevice>> hosts;
+  for (int i = 0; i < 4; ++i) {
+    LinkSpec ls;
+    if (i == 0) {
+      ls.rate_bps = 2.5e9;
+      ls.queue_limit_bytes = 45000;
+    }
+    links.push_back(std::make_unique<Link>(s, ls, "l" + std::to_string(i)));
+    hosts.push_back(std::make_unique<SinkDevice>());
+    links.back()->attach_a(hosts.back().get());
+    sw.add_port(links.back().get(), /*side_a=*/false);
+    sw.learn(static_cast<net::NodeId>(i + 1), i);
+  }
+  QueueDepthProbe probe(sw, 0, sim::usec(2));
+  s.set_time_hook(&probe);
+  for (int sender = 1; sender < 4; ++sender) {
+    for (int k = 0; k < 60; ++k) {
+      net::Packet p = tcp_frame(
+          200 + static_cast<std::uint32_t>(k * 3571 + sender * 1237) % 8700,
+          static_cast<net::NodeId>(sender + 1), 1);
+      p.ect = sender != 3;
+      Link* in = links[static_cast<std::size_t>(sender)].get();
+      SinkDevice* host = hosts[static_cast<std::size_t>(sender)].get();
+      s.schedule_at(sim::nsec(20000 * k + 300 * sender),
+                    [in, host, p] { in->transmit(host, p); });
+    }
+  }
+  s.run();
+  EgressPin pin;
+  pin.delivered = hosts[0]->packets.size();
+  pin.depth_fnv = probe.fnv;
+  pin.busy_readings = probe.busy_readings;
+  pin.peak = sw.port_peak_queued(0);
+  pin.dropped_queue_full = sw.dropped_queue_full();
+  pin.dropped_red = sw.dropped_red();
+  pin.ce_marked = sw.ce_marked();
+  pin.link_drops_queue = links[0]->drops_queue();
+  EXPECT_EQ(pin.delivered + pin.dropped_queue_full + pin.dropped_red +
+                pin.link_drops_queue,
+            180u);
+  return pin;
+}
+
+void expect_egress(const EgressPin& got, const EgressPin& want) {
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.depth_fnv, want.depth_fnv);
+  EXPECT_EQ(got.busy_readings, want.busy_readings);
+  EXPECT_EQ(got.peak, want.peak);
+  EXPECT_EQ(got.dropped_queue_full, want.dropped_queue_full);
+  EXPECT_EQ(got.dropped_red, want.dropped_red);
+  EXPECT_EQ(got.ce_marked, want.ce_marked);
+  EXPECT_EQ(got.link_drops_queue, want.link_drops_queue);
+}
+
+TEST(RefusingEgress, TailDropPinsDepthAndRefusals) {
+  const EgressPin got = run_refusing_egress(AqmSpec{});
+  EXPECT_GT(got.link_drops_queue, 0u);
+  EXPECT_GT(got.peak, 45000u);  // refused frames count until released
+  expect_egress(got,
+                EgressPin{118, 0x2f6241d8693fa66fULL, 657, 53220, 0, 0, 0, 62});
+}
+
+TEST(RefusingEgress, RedPinsDepthDropsAndRefusals) {
+  AqmSpec aqm;
+  aqm.mode = AqmMode::kRed;
+  aqm.min_threshold_bytes = 20000;
+  aqm.max_threshold_bytes = 60000;
+  aqm.max_p_permil = 200;
+  aqm.ewma_shift = 2;
+  const EgressPin got = run_refusing_egress(aqm);
+  EXPECT_GT(got.dropped_red, 0u);
+  EXPECT_GT(got.link_drops_queue, 0u);
+  expect_egress(got,
+                EgressPin{111, 0x46be35631213446cULL, 657, 52917, 0, 17, 0, 52});
+}
+
+TEST(RefusingEgress, EcnThresholdPinsDepthMarksAndRefusals) {
+  AqmSpec aqm;
+  aqm.mode = AqmMode::kEcnThreshold;
+  aqm.mark_threshold_bytes = 20000;
+  const EgressPin got = run_refusing_egress(aqm);
+  EXPECT_GT(got.ce_marked, 0u);
+  EXPECT_GT(got.link_drops_queue, 0u);
+  expect_egress(
+      got, EgressPin{118, 0x2f6241d8693fa66fULL, 657, 53220, 0, 0, 116, 62});
 }
 
 }  // namespace

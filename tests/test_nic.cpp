@@ -18,6 +18,22 @@ class SinkDevice : public link::NetDevice {
   std::vector<net::Packet> packets;
 };
 
+/// Records when each frame lands, and when its DMA completed (the path
+/// trace stamp).
+class ClockedSink : public link::NetDevice {
+ public:
+  explicit ClockedSink(sim::Simulator& s) : sim_(s) {}
+  void deliver(const net::Packet& pkt) override {
+    arrivals.push_back(sim_.now());
+    dma_done.push_back(pkt.trace.t_dma_done);
+  }
+  std::vector<sim::SimTime> arrivals;
+  std::vector<sim::SimTime> dma_done;
+
+ private:
+  sim::Simulator& sim_;
+};
+
 class AdapterFixture : public ::testing::Test {
  protected:
   AdapterFixture()
@@ -41,6 +57,96 @@ class AdapterFixture : public ::testing::Test {
     p.tcp.timestamps = true;
     p.tcp.flags.ack = true;
     return p;
+  }
+
+  /// One driver transmit at absolute time `at`.
+  struct Send {
+    sim::SimTime at;
+    net::Packet pkt;
+  };
+
+  /// What a transmit run pins: every frame's arrival at the peer (count,
+  /// last, FNV-1a over all of them), the DMA completion each one left
+  /// with, and the counters the stall and refusal paths move.
+  struct TxPin {
+    std::size_t frames = 0;
+    std::uint64_t tx_frames = 0;
+    sim::SimTime last_arrival = 0;
+    std::uint64_t arrivals_fnv = 0;
+    std::uint64_t dma_done_fnv = 0;
+    std::uint64_t pci_jobs = 0;
+    std::uint64_t drops_queue = 0;
+    std::uint64_t tx_ring_stalls = 0;
+  };
+
+  /// Runs `sends` through a fresh adapter with `s` on a wire with `ls`,
+  /// under `plan` when given, to completion.
+  TxPin run_tx(const AdapterSpec& s, const link::LinkSpec& ls,
+               const std::vector<Send>& sends,
+               const fault::HostFaultPlan* plan = nullptr) {
+    Adapter nic(sim_, s, sys_.pcix, sys_.memory, 4096, membus_, "eth0");
+    link::Link wire(sim_, ls, "w");
+    ClockedSink peer(sim_);
+    nic.connect(&wire, true);
+    wire.attach_b(&peer);
+    fault::HostFaultInjector inj(plan != nullptr ? *plan
+                                                 : fault::HostFaultPlan{});
+    if (plan != nullptr) nic.set_host_faults(&inj);
+    for (const Send& send : sends) {
+      sim_.schedule_at(send.at, [&nic, pkt = &send.pkt] {
+        net::Packet traced = *pkt;
+        traced.trace.enabled = true;
+        nic.transmit(traced);
+      });
+    }
+    sim_.run();
+    TxPin pin;
+    pin.frames = peer.arrivals.size();
+    pin.tx_frames = nic.tx_frames();
+    pin.last_arrival = peer.arrivals.empty() ? 0 : peer.arrivals.back();
+    pin.arrivals_fnv = fnv(peer.arrivals);
+    pin.dma_done_fnv = fnv(peer.dma_done);
+    pin.pci_jobs = nic.pci_bus().jobs_completed();
+    pin.drops_queue = wire.drops_queue();
+    pin.tx_ring_stalls = inj.counters().tx_ring_stalls;
+    return pin;
+  }
+
+  static std::uint64_t fnv(const std::vector<sim::SimTime>& times) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (sim::SimTime t : times) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (static_cast<std::uint64_t>(t) >> (8 * i)) & 0xffu;
+        h *= 1099511628211ULL;
+      }
+    }
+    return h;
+  }
+
+  static void expect_pin(const TxPin& got, const TxPin& want) {
+    EXPECT_EQ(got.frames, want.frames);
+    EXPECT_EQ(got.tx_frames, want.tx_frames);
+    EXPECT_EQ(got.last_arrival, want.last_arrival);
+    EXPECT_EQ(got.arrivals_fnv, want.arrivals_fnv);
+    EXPECT_EQ(got.dma_done_fnv, want.dma_done_fnv);
+    EXPECT_EQ(got.pci_jobs, want.pci_jobs);
+    EXPECT_EQ(got.drops_queue, want.drops_queue);
+    EXPECT_EQ(got.tx_ring_stalls, want.tx_ring_stalls);
+  }
+
+  /// TSO super-segments of 9-45 KB, one every 10 us: on a 2 Gb/s wire the
+  /// FIFO fills, and every DMA puts a burst of wire frames on the link
+  /// (two to six at the default MSS).
+  std::vector<Send> tso_sends(std::uint32_t mss = 8948) {
+    std::vector<Send> sends;
+    for (int k = 0; k < 24; ++k) {
+      net::Packet super =
+          data_packet(9000 + static_cast<std::uint32_t>(k * 7919) % 36000);
+      super.tcp.seq = static_cast<net::Seq>(k) * 50000;
+      super.tcp.tso_mss = mss;
+      sends.push_back({sim::usec(10 * k), super});
+    }
+    return sends;
   }
 
   sim::Simulator sim_;
@@ -177,20 +283,82 @@ TEST_F(AdapterFixture, TsoSplitsSuperSegment) {
 
 TEST_F(AdapterFixture, TxFifoBackpressureStallsDma) {
   // A slow wire (1 Gb/s) behind a fast bus: the FIFO fills and DMA stalls,
-  // but every frame is eventually delivered.
+  // but every frame is eventually delivered, each at its pinned time.
   AdapterSpec s = intel_e1000();
   s.tx_fifo_bytes = 16 * 1024;
-  Adapter nic(sim_, s, sys_.pcix, sys_.memory, 4096, membus_, "eth0");
   link::LinkSpec ls;
   ls.rate_bps = 1e9;
-  link::Link wire(sim_, ls, "w");
-  SinkDevice peer;
-  nic.connect(&wire, true);
-  wire.attach_b(&peer);
-  for (int i = 0; i < 50; ++i) nic.transmit(data_packet(8948));
-  sim_.run();
-  EXPECT_EQ(peer.packets.size(), 50u);
-  EXPECT_EQ(nic.tx_frames(), 50u);
+  std::vector<Send> sends;
+  for (int i = 0; i < 50; ++i) sends.push_back({0, data_packet(8948)});
+  const TxPin got = run_tx(s, ls, sends);
+  EXPECT_EQ(got.frames, 50u);
+  EXPECT_EQ(got.tx_frames, 50u);
+  expect_pin(got, TxPin{50, 50, 4264428200, 0x8e827d6e4c64d1afULL,
+                        0x7eacabd9ec61d64fULL, 50, 0, 0});
+}
+
+// --- Exact pins for the transmit stall and refusal paths --------------------
+//
+// Each of these paths decides when DMA resumes after the wire frees FIFO
+// space: a full FIFO, CSA's memory-speed DMA with TSO super-segments (whose
+// per-frame FIFO accounting saturates at zero), frames the host link
+// refuses, and a tx-ring stall that opens while frames serialize. A change
+// in how wire completions reach the adapter shows here as a moved arrival
+// or counter, not only as a different frame count.
+
+TEST_F(AdapterFixture, CsaTsoOnSlowWirePinsEveryArrival) {
+  AdapterSpec s = spec_;
+  s.on_mch = true;
+  s.tx_fifo_bytes = 64 * 1024;
+  link::LinkSpec ls;
+  ls.rate_bps = 2e9;
+  const TxPin got = run_tx(s, ls, tso_sends());
+  EXPECT_EQ(got.drops_queue, 0u);
+  expect_pin(got, TxPin{83, 83, 2585274604, 0x6d2c46a050004d23ULL,
+                        0x4191fa3656690344ULL, 24, 0, 0});
+}
+
+TEST_F(AdapterFixture, CsaTsoThrottledThenFastPinsSaturation) {
+  // A DMA freeze window slows DMA below the wire, so the FIFO runs empty
+  // while a super-segment is still crossing the bus, with the per-frame
+  // header bytes (20 or so frames per super-segment at a 1448-byte MSS)
+  // saturating the count at zero; once the window closes the FIFO fills
+  // to its stall threshold again. The count must take every wire frame
+  // that left before a DMA completes before that DMA adds its
+  // super-segment, or the stall decisions after the window shift.
+  AdapterSpec s = spec_;
+  s.on_mch = true;
+  s.tx_fifo_bytes = 64 * 1024;
+  link::LinkSpec ls;
+  ls.rate_bps = 2e9;
+  std::vector<Send> sends = tso_sends(1448);
+  for (Send& send : tso_sends(1448)) {
+    send.at += sim::usec(700);
+    send.pkt.tcp.seq += 2000000;
+    sends.push_back(send);
+  }
+  fault::HostFaultPlan plan;
+  plan.with_dma_throttle(sim::usec(100), sim::usec(900), /*mmrbc=*/512,
+                         /*freeze=*/sim::usec(150));
+  const TxPin got = run_tx(s, ls, sends, &plan);
+  EXPECT_EQ(got.frames, got.tx_frames);
+  expect_pin(got, TxPin{910, 910, 5699082557, 0x83ade3072a546a6aULL,
+                        0xcb6742189f1a2d0dULL, 48, 0, 0});
+}
+
+TEST_F(AdapterFixture, CsaTsoBehindQueueLimitPinsRefusals) {
+  AdapterSpec s = spec_;
+  s.on_mch = true;
+  s.tx_fifo_bytes = 64 * 1024;
+  link::LinkSpec ls;
+  ls.rate_bps = 2e9;
+  ls.queue_limit_bytes = 40000;
+  const TxPin got = run_tx(s, ls, tso_sends());
+  EXPECT_GT(got.drops_queue, 0u);
+  EXPECT_EQ(got.frames + got.drops_queue, got.tx_frames);
+  expect_pin(got,
+             TxPin{26, 83, 805514604, 0xf0f2555fbfacfa2cULL,
+                   0xbb6bbf5bfae5cb1fULL, 24, 57, 0});
 }
 
 // --- Host-path faults at the device layer ------------------------------------
@@ -242,9 +410,28 @@ TEST_F(AdapterFixture, TxRingStallPausesDmaThenRecovers) {
   sim_.run_until(sim::usec(50));
   EXPECT_EQ(peer.packets.size(), 0u);  // DMA paused mid-stall
   EXPECT_EQ(nic->tx_backlog(), 3u);
-  EXPECT_GT(inj.counters().tx_ring_stalls, 0u);
+  // Each of the three driver posts retried DMA once.
+  EXPECT_EQ(inj.counters().tx_ring_stalls, 3u);
   sim_.run();
   EXPECT_EQ(peer.packets.size(), 3u);  // recovery drains the backlog
+  EXPECT_EQ(inj.counters().tx_ring_stalls, 3u);
+}
+
+TEST_F(AdapterFixture, TxRingStallWhileSerializingCountsEachCompletion) {
+  // The window opens with the FIFO full of frames still serializing: every
+  // wire completion inside it retries DMA and counts one more stall.
+  link::LinkSpec ls;
+  ls.rate_bps = 1e9;
+  std::vector<Send> sends;
+  for (int i = 0; i < 200; ++i) sends.push_back({0, data_packet(1448)});
+  fault::HostFaultPlan plan;
+  plan.with_tx_ring_stall(sim::usec(600), sim::usec(1400));
+  const TxPin got = run_tx(spec_, ls, sends, &plan);
+  EXPECT_EQ(got.frames, 200u);
+  EXPECT_GT(got.tx_ring_stalls, 50u);
+  expect_pin(got,
+             TxPin{200, 200, 2465376692, 0x7b1e2165d7072264ULL,
+                   0x29c90ce2f462afdULL, 200, 0, 66});
 }
 
 TEST_F(AdapterFixture, MissedInterruptRescuedByRecoveryPoll) {

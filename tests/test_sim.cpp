@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -250,6 +251,31 @@ TEST(Simulator, RunUntilHorizonStopsClock) {
   EXPECT_EQ(s.now(), usec(5));
   s.run_until(usec(20));
   EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, HorizonBehindTheClockLeavesItAlone) {
+  // Stamps held outside the Simulator (a Mark's reached()) need a clock
+  // that never runs backwards, pending events or not.
+  Simulator s;
+  int fired = 0;
+  s.schedule_at(100, [&] { ++fired; });
+  s.schedule_at(200, [&] { ++fired; });
+  s.run_until(150);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), 150);
+  s.run_until(50);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.now(), 150);
+  const Simulator::Mark at_clock = s.mark(150);
+  EXPECT_FALSE(s.reached(at_clock));
+  s.run_until(120);
+  EXPECT_EQ(s.now(), 150);
+  EXPECT_FALSE(s.reached(at_clock));  // not passed by a horizon behind it
+  s.run_until(150);
+  EXPECT_TRUE(s.reached(at_clock));
+  s.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.now(), 200);
 }
 
 TEST(Simulator, StopHaltsExecution) {
@@ -541,10 +567,13 @@ class ClockLog : public TimeHook {
   void advance(SimTime at) override {
     log.push_back(at);
     for (const Simulator* clock : clocks_) log.push_back(clock->now());
+    if (on_advance) on_advance();
     due_ = at + period_;
   }
 
   std::vector<SimTime> log;
+  /// Runs at every firing, after the clocks are logged.
+  std::function<void()> on_advance;
 
  private:
   std::vector<const Simulator*> clocks_;
@@ -553,23 +582,31 @@ class ClockLog : public TimeHook {
 };
 
 /// A seeded random program on one Simulator. Every job nobody waits on is
-/// a clock mark, or, in the reference, an empty event at the same time.
-/// Plain events log (time, tag), sometimes stop the run, and draw further
-/// actions from the program's own RNG, so any difference in what ran, or
-/// in what order, shows in the log. Delays are a few picoseconds, so equal
-/// timestamps are common.
+/// a clock mark, or, in the reference, an empty event at the same time
+/// that records it ran. Plain events log (time, tag), sometimes stop the
+/// run, and draw further actions from the program's own RNG, so any
+/// difference in what ran, or in what order, shows in the log. Delays are
+/// a few picoseconds, so equal timestamps are common. A wake puts a
+/// logging event at a kept mark (schedule_reserved); in the reference the
+/// mark's own empty event logs instead. At every logging callback, and
+/// whenever observe() is called, the program logs which marks are not
+/// reached yet: Simulator::reached() here, the empty event's record in the
+/// reference.
 class MarkProgram {
  public:
   MarkProgram(Simulator& simulator, std::uint64_t seed, bool use_marks)
       : sim_(simulator), rng_(seed), use_marks_(use_marks) {}
 
-  /// One action at the current time: a mark, a plain event or a cancel.
+  /// One action at the current time: a mark, a plain event, a cancel or a
+  /// wake.
   void act() {
     const std::uint64_t action = rng_.next_below(10);
     if (action < 4) {
       mark(sim_.now() + delay());
     } else if (action < 8) {
       plain();
+    } else if (action == 8) {
+      wake();
     } else if (!plain_ids_.empty()) {
       sim_.cancel(plain_ids_[rng_.next_below(plain_ids_.size())]);
     }
@@ -577,18 +614,70 @@ class MarkProgram {
 
   /// A mark (or, in the reference, an empty event) at absolute time `at`.
   void mark(SimTime at) {
+    const std::size_t i = marked.size();
     marked.push_back(at);
+    ran_.push_back(false);
+    wake_tag_.push_back(kNoWake);
+    open_.push_back(i);
     if (use_marks_) {
-      sim_.mark(at);
+      kept_.push_back(sim_.mark(at));
     } else {
-      sim_.schedule_at(at, [] {});
+      sim_.schedule_at(at, [this, i] {
+        ran_[i] = true;
+        if (wake_tag_[i] != kNoWake) logged(wake_tag_[i]);
+      });
     }
+  }
+
+  /// Whether mark `i` is reached: reached() on the kept mark, or whether
+  /// the reference's empty event ran.
+  bool reached(std::size_t i) const {
+    return use_marks_ ? sim_.reached(kept_[i]) : ran_[i] != 0;
+  }
+
+  /// Logs the marks not reached yet, then stops watching the reached ones.
+  void observe() {
+    std::size_t still = 0;
+    for (std::size_t i : open_) {
+      if (reached(i)) continue;
+      open_[still++] = i;
+      reach_log.push_back(i);
+    }
+    open_.resize(still);
+    reach_log.push_back(kObserved);
   }
 
   std::vector<std::pair<SimTime, std::uint64_t>> log;
   std::vector<SimTime> marked;
+  std::vector<std::size_t> reach_log;
+  std::size_t wakes = 0;
 
  private:
+  static constexpr std::uint64_t kNoWake = ~std::uint64_t{0};
+  static constexpr std::size_t kObserved = ~std::size_t{0};
+
+  void logged(std::uint64_t tag) {
+    log.emplace_back(sim_.now(), tag);
+    observe();
+  }
+
+  /// A logging event at a mark not reached and not woken yet (each
+  /// reserved sequence is used once).
+  void wake() {
+    std::vector<std::size_t> candidates;
+    for (std::size_t i : open_) {
+      if (!reached(i) && wake_tag_[i] == kNoWake) candidates.push_back(i);
+    }
+    if (candidates.empty()) return;
+    const std::size_t i = candidates[rng_.next_below(candidates.size())];
+    wake_tag_[i] = next_tag_++;
+    ++wakes;
+    if (use_marks_) {
+      sim_.schedule_reserved(kept_[i].time, kept_[i].seq,
+                             [this, tag = wake_tag_[i]] { logged(tag); });
+    }
+  }
+
   SimTime delay() {
     if (rng_.chance(0.3)) return 0;
     return static_cast<SimTime>(rng_.next_below(rng_.chance(0.1) ? 300 : 12));
@@ -597,7 +686,7 @@ class MarkProgram {
   void plain() {
     const std::uint64_t tag = next_tag_++;
     plain_ids_.push_back(sim_.schedule(delay(), [this, tag] {
-      log.emplace_back(sim_.now(), tag);
+      logged(tag);
       if (budget_ > 0) {
         --budget_;
         act();
@@ -616,7 +705,21 @@ class MarkProgram {
   std::vector<EventId> plain_ids_;
   std::uint64_t next_tag_ = 0;
   int budget_ = 4000;
+  std::vector<Simulator::Mark> kept_;  // use_marks_ only
+  std::vector<char> ran_;              // reference only
+  std::vector<std::uint64_t> wake_tag_;
+  std::vector<std::size_t> open_;  // marks not seen reached yet
 };
+
+/// Every mark's reached state agrees between the two programs.
+void expect_same_reach(const MarkProgram& marks, const MarkProgram& reference,
+                       const std::string& where) {
+  ASSERT_EQ(marks.marked.size(), reference.marked.size()) << where;
+  for (std::size_t i = 0; i < marks.marked.size(); ++i) {
+    ASSERT_EQ(marks.reached(i), reference.reached(i))
+        << where << " mark " << i;
+  }
+}
 
 /// A horizon just before, at or just after a recent mark, or a little past
 /// the clock.
@@ -643,6 +746,7 @@ TEST_P(ClockMarks, MatchEmptyEventsInLockstep) {
   struct Side {
     Side(std::uint64_t seed, bool use_marks, bool hooked)
         : program(sim, seed, use_marks), hook({&sim}, 7) {
+      hook.on_advance = [this] { program.observe(); };
       if (hooked) sim.set_time_hook(&hook);
     }
     Simulator sim;
@@ -654,6 +758,7 @@ TEST_P(ClockMarks, MatchEmptyEventsInLockstep) {
   Rng choices(param.seed * 7919 + 17);
   std::size_t drains_on_marks = 0;
   std::size_t stops = 0;
+  SimTime last_now = 0;
   for (int step = 0; step < 1500; ++step) {
     const std::uint64_t op = choices.next_below(8);
     if (op < 3) {
@@ -696,6 +801,12 @@ TEST_P(ClockMarks, MatchEmptyEventsInLockstep) {
     ASSERT_EQ(marks.sim.stopped(), reference.sim.stopped()) << "step " << step;
     ASSERT_EQ(marks.program.log, reference.program.log) << "step " << step;
     ASSERT_EQ(marks.hook.log, reference.hook.log) << "step " << step;
+    ASSERT_EQ(marks.program.reach_log, reference.program.reach_log)
+        << "step " << step;
+    expect_same_reach(marks.program, reference.program,
+                      "step " + std::to_string(step));
+    ASSERT_GE(marks.sim.now(), last_now) << "step " << step;
+    last_now = marks.sim.now();
   }
   // The schedule really exercised what it is meant to.
   const auto& log = reference.program.log;
@@ -706,6 +817,7 @@ TEST_P(ClockMarks, MatchEmptyEventsInLockstep) {
   EXPECT_GT(log.size(), 1000u);
   EXPECT_GT(ties, log.size() / 10);
   EXPECT_GT(reference.program.marked.size(), 1000u);
+  EXPECT_GT(reference.program.wakes, 100u);
   EXPECT_GT(drains_on_marks, 100u);
   EXPECT_GT(stops, 10u);
   if (param.hooked) {
@@ -739,6 +851,9 @@ TEST(ClockMarks, ShardedWindowsMatchEmptyEvents) {
         programs.push_back(std::make_unique<MarkProgram>(
             engine.shard(i), seed * 2 + i, use_marks));
       }
+      hook.on_advance = [this] {
+        for (auto& program : programs) program->observe();
+      };
     }
     ShardedEngine engine;
     ClockLog hook;
@@ -748,6 +863,8 @@ TEST(ClockMarks, ShardedWindowsMatchEmptyEvents) {
     Side marks(seed, true);
     Side reference(seed, false);
     Rng choices(seed * 104729 + 3);
+    SimTime last_now = 0;
+    std::vector<SimTime> last_shard_now(2, 0);
     for (int step = 0; step < 1000; ++step) {
       const std::uint64_t op = choices.next_below(4);
       if (op < 2) {
@@ -772,7 +889,19 @@ TEST(ClockMarks, ShardedWindowsMatchEmptyEvents) {
           << "seed " << seed << " step " << step;
       ASSERT_EQ(marks.hook.log, reference.hook.log)
           << "seed " << seed << " step " << step;
+      ASSERT_GE(marks.engine.now(), last_now)
+          << "seed " << seed << " step " << step;
+      last_now = marks.engine.now();
       for (std::size_t i = 0; i < 2; ++i) {
+        const std::string where = "seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step) + " shard " +
+                                  std::to_string(i);
+        ASSERT_EQ(marks.programs[i]->reach_log,
+                  reference.programs[i]->reach_log)
+            << where;
+        expect_same_reach(*marks.programs[i], *reference.programs[i], where);
+        ASSERT_GE(marks.engine.shard(i).now(), last_shard_now[i]) << where;
+        last_shard_now[i] = marks.engine.shard(i).now();
         ASSERT_EQ(marks.engine.shard(i).now(), reference.engine.shard(i).now())
             << "seed " << seed << " step " << step << " shard " << i;
         ASSERT_EQ(marks.engine.shard(i).next_event_time(),
@@ -783,6 +912,9 @@ TEST(ClockMarks, ShardedWindowsMatchEmptyEvents) {
       }
     }
     EXPECT_GT(reference.engine.windows(), 400u) << "seed " << seed;
+    EXPECT_GT(reference.programs[0]->wakes + reference.programs[1]->wakes,
+              50u)
+        << "seed " << seed;
   }
 }
 
