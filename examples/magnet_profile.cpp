@@ -23,16 +23,15 @@ void profile(const char* title, const xgbe::core::TuningProfile& tuning) {
   tools::MagnetOptions opt;
   opt.payload = 8948;
   opt.count = 2000;
-  opt.sample_every = 10;
   const tools::MagnetReport m = tools::run_magnet(tb, conn, a, b, opt);
   if (!m.completed) {
     std::printf("%s: run failed\n", title);
     return;
   }
 
-  std::printf("\n=== %s (%.2f Gb/s, %llu packets sampled) ===\n", title,
+  std::printf("\n=== %s (%.2f Gb/s, %llu packets profiled) ===\n", title,
               m.throughput_gbps,
-              static_cast<unsigned long long>(m.sampled_packets));
+              static_cast<unsigned long long>(m.journeys));
   std::printf("%-12s %10s %10s %10s\n", "stage", "mean us", "min us",
               "max us");
   for (const auto& s : m.stages) {

@@ -2,17 +2,16 @@
 // single TCP stream from Sunnyvale to Geneva over a loaned OC-192 to
 // Chicago and the transatlantic LHCnet OC-48 — plus the counterfactual the
 // paper warns about (oversized buffers -> congestion loss -> AIMD collapse).
+#include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <vector>
 #include <utility>
 
 #include "analysis/aimd.hpp"
 #include "analysis/bdp.hpp"
 #include "core/testbed.hpp"
-#include "sim/recorder.hpp"
 #include "link/wan.hpp"
+#include "obs/span.hpp"
 #include "tools/iperf.hpp"
 
 namespace {
@@ -22,7 +21,7 @@ struct WanOutcome {
   double rtt_ms = 0.0;
   std::uint64_t retransmits = 0;
   std::uint64_t drops = 0;
-  std::vector<std::pair<xgbe::sim::SimTime, double>> cwnd_timeline;
+  std::vector<std::pair<xgbe::sim::SimTime, std::uint32_t>> cwnd_timeline;
 };
 
 WanOutcome run_wan(std::uint32_t buffer_bytes) {
@@ -38,14 +37,12 @@ WanOutcome run_wan(std::uint32_t buffer_bytes) {
        link::wan::oc48_pos(link::wan::kChicagoGenevaKm)},
       link::wan::router_spec());
 
+  // Armed before the connection opens, so it watches the sender.
+  obs::FlowSampler cwnd(sim::msec(500));
+  tb.set_flow_sampler(&cwnd);
   auto cfg = tools::iperf_config(sunnyvale.endpoint_config());
   cfg.read_chunk = 1 << 20;
   auto conn = tb.open_connection(sunnyvale, geneva, cfg, cfg);
-
-  sim::Recorder cwnd(tb.simulator(), sim::msec(500), [&conn]() {
-    return static_cast<double>(conn.client->cwnd_segments());
-  });
-  cwnd.start();
 
   tools::IperfOptions opt;
   opt.write_size = 256 * 1024;
@@ -59,7 +56,9 @@ WanOutcome run_wan(std::uint32_t buffer_bytes) {
   out.rtt_ms = sim::to_microseconds(conn.client->srtt()) / 1e3;
   out.retransmits = conn.client->stats().retransmits;
   for (auto* c : circuits) out.drops += c->drops_queue();
-  out.cwnd_timeline = cwnd.samples();
+  for (const auto& row : cwnd.rows()) {
+    out.cwnd_timeline.emplace_back(row.at, row.sample.cwnd_segments);
+  }
   return out;
 }
 
@@ -83,7 +82,7 @@ int main() {
   }
   std::printf("  slow-start trajectory (cwnd in segments):\n    ");
   for (std::size_t i = 0; i < good.cwnd_timeline.size() && i < 16; i += 2) {
-    std::printf("%.1fs:%.0f  ",
+    std::printf("%.1fs:%u  ",
                 xgbe::sim::to_seconds(good.cwnd_timeline[i].first),
                 good.cwnd_timeline[i].second);
   }

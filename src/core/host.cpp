@@ -169,7 +169,6 @@ void Host::send_rst_for(const net::Packet& in, std::size_t adapter_index) {
   pkt.src = node_;
   pkt.dst = in.src;
   pkt.frame_bytes = net::tcp_frame_bytes(0, false);
-  pkt.created_at = sim_.now();
   pkt.tcp.flags.rst = true;
   if (in.tcp.flags.ack) {
     pkt.tcp.seq = in.tcp.ack;
@@ -191,7 +190,6 @@ void Host::send_rst_for(const net::Packet& in, std::size_t adapter_index) {
 
 void Host::demux(const net::Packet& pkt) {
   ++frames_demuxed_;
-  if (packet_tap) packet_tap(pkt);
   if (pkt.protocol == net::Protocol::kTcp) {
     if (tcp::Endpoint* ep = conn_table_.find(pkt.src, pkt.flow)) {
       ep->on_packet(pkt);

@@ -95,10 +95,6 @@ class Host {
   /// Sink for non-TCP traffic (pktgen receiver side).
   std::function<void(const net::Packet&)> raw_sink;
 
-  /// Observation tap invoked for every packet after kernel receive
-  /// processing, before endpoint dispatch (MAGNET attaches here).
-  std::function<void(const net::Packet&)> packet_tap;
-
   /// CPU load approximation over the current measurement window.
   double cpu_load() const { return kernel_->cpu_load(); }
   void mark_load_window() { kernel_->mark_load_window(); }

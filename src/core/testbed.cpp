@@ -203,7 +203,6 @@ bool Testbed::run_until_established(const Connection& conn,
 
 void Testbed::set_trace_sink(obs::TraceSink* sink) {
   trace_ = sink;
-  if (sink == nullptr) return;
   for (auto& host : hosts_) host->set_trace(sink);
   for (auto& wire : links_) wire->set_trace(sink);
   for (auto& sw : switches_) sw->set_trace(sink);
@@ -229,7 +228,6 @@ void Testbed::set_span_profiler(obs::SpanProfiler* spans) {
   // path — same model, same code, one thread).
   if (engine_) return;
   spans_ = spans;
-  if (spans == nullptr) return;
   for (auto& host : hosts_) host->set_span_profiler(spans);
   for (auto& wire : links_) wire->set_span_profiler(spans);
   for (auto& sw : switches_) sw->set_span_profiler(spans);

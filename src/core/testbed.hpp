@@ -174,10 +174,9 @@ class Testbed {
   // --- Observability --------------------------------------------------------
   /// Arms the trace sink across the whole testbed: every existing host,
   /// link, and switch, and everything created afterwards. Null disarms
-  /// future components but does not revisit existing ones with null;
-  /// disarm before teardown by not using the sink instead. Classic mode
-  /// only — a single sink shared across shards would race; use
-  /// set_shard_trace_sinks() in sharded mode.
+  /// them all the same way, so a sink can be disarmed before it goes
+  /// away. Classic mode only — a single sink shared across shards would
+  /// race; use set_shard_trace_sinks() in sharded mode.
   void set_trace_sink(obs::TraceSink* sink);
   obs::TraceSink* trace_sink() const { return trace_; }
 
@@ -190,8 +189,10 @@ class Testbed {
   void set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks);
 
   /// Arms the span profiler across the whole testbed, same fan-out and
-  /// lifetime rules as set_trace_sink(). The profiler must outlive the
-  /// testbed or be disarmed before teardown.
+  /// lifetime rules as set_trace_sink(): null disarms every existing
+  /// component. The profiler must outlive the testbed or be disarmed
+  /// (set to null or to another profiler) before it goes away. A sharded
+  /// testbed ignores the call and stays disarmed.
   void set_span_profiler(obs::SpanProfiler* spans);
   obs::SpanProfiler* span_profiler() const { return spans_; }
 

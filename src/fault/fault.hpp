@@ -113,9 +113,8 @@ struct FaultPlan {
   FaultPlan& only_data() { data_only = true; return *this; }
 };
 
-/// Per-device fault tally, sampleable through sim::Recorder and printable
-/// through tools::fault_summary so bench output shows *why* throughput
-/// degraded.
+/// Per-device fault tally, printable through tools::fault_summary so bench
+/// output shows *why* throughput degraded.
 struct FaultCounters {
   std::uint64_t frames_seen = 0;
   std::uint64_t drops_forced = 0;

@@ -61,21 +61,8 @@ struct TcpMeta {
   bool push = false;  // PSH: end of an application write
 };
 
-/// Per-packet path timestamps for MAGNET-style profiling (§3.2: "MAGNET
-/// allowed us to trace and profile the paths taken by individual packets
-/// through the TCP stack"). Only filled for sampled packets.
-struct PathTrace {
-  bool enabled = false;
-  sim::SimTime t_nic = 0;      // driver handed the frame to the adapter
-  sim::SimTime t_dma_done = 0; // TX DMA read complete
-  sim::SimTime t_rx_arrive = 0;  // last bit arrived from the wire
-  sim::SimTime t_rx_dma = 0;     // RX DMA write complete
-  sim::SimTime t_irq = 0;        // interrupt raised to the kernel
-};
-
 /// A frame in flight. The struct is a plain value; copies are cheap.
 struct Packet {
-  std::uint64_t id = 0;       // unique per simulation, for tracing
   Protocol protocol = Protocol::kRaw;
   FlowId flow = 0;
   NodeId src = kInvalidNode;
@@ -92,9 +79,6 @@ struct Packet {
   /// frames, `ce` stamped by an AQM-enabled switch instead of dropping.
   bool ect = false;
   bool ce = false;
-  sim::SimTime created_at = 0;      // when the transport layer emitted it
-  sim::SimTime sent_at = 0;         // when serialization onto the wire began
-  PathTrace trace;                  // MAGNET sampling (usually disabled)
 
   /// Wire occupancy (frame + preamble + IFG, min-frame enforced).
   std::uint32_t wire_bytes() const {

@@ -68,7 +68,6 @@ void Adapter::set_mmrbc(std::uint32_t mmrbc) {
 }
 
 void Adapter::transmit(net::Packet pkt) {
-  if (pkt.trace.enabled) pkt.trace.t_nic = sim_.now();
   tx_queue_.push_back(std::move(pkt));
   if (!tx_dma_active_) dma_next_tx();
 }
@@ -118,7 +117,6 @@ void Adapter::dma_next_tx() {
   auto rec = dma_rec_pool_.acquire();
   *rec = std::move(pkt);
   pci_.submit(bus_time, [this, rec]() {
-    if (rec->trace.enabled) rec->trace.t_dma_done = sim_.now();
     // The wire frames of a TSO super-segment free more than it occupies,
     // and the count saturates at zero, so the frames that left before now
     // must leave before it grows.
@@ -226,7 +224,6 @@ void Adapter::receive_frame(const net::Packet& arrived) {
   net::Packet pkt = arrived;
   // Last bit off the wire, frame in a ring buffer: wire stage ends here.
   if (spans_) spans_->mark(pkt, obs::Stage::kRxRing, sim_.now());
-  if (pkt.trace.enabled) pkt.trace.t_rx_arrive = sim_.now();
   const sim::SimTime bus_time =
       (spec_.on_mch
            ? hw::bus_time(mem_spec_, pkt.frame_bytes, 1) + sim::nsec(100)
@@ -237,7 +234,6 @@ void Adapter::receive_frame(const net::Packet& arrived) {
   auto rec = dma_rec_pool_.acquire();
   *rec = pkt;
   pci_.submit(bus_time, [this, rec]() {
-    if (rec->trace.enabled) rec->trace.t_rx_dma = sim_.now();
     // RX DMA write landed in host memory; the interrupt hold-off begins.
     if (spans_) spans_->mark(*rec, obs::Stage::kIntrCoalesce, sim_.now());
     if (spec_.rx_corruption_rate > 0.0 && rec->payload_bytes > 0 &&
@@ -306,7 +302,6 @@ void Adapter::raise_interrupt() {
   }
   net::PacketBatch batch = std::move(rx_batch_);
   for (net::Packet& p : *batch) {
-    if (p.trace.enabled) p.trace.t_irq = sim_.now();
     // Interrupt asserted: hold-off ends, the kernel rx path starts.
     if (spans_) spans_->mark(p, obs::Stage::kRxStack, sim_.now());
   }

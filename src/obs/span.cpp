@@ -181,6 +181,7 @@ void SpanProfiler::finish(Journey& j, sim::SimTime at) {
   end_to_end_total_ps_ += total;
   e2e_hist_.add(ps_to_us(total));
   ++journeys_;
+  if (observer_) observer_(j.dur);
 }
 
 void SpanProfiler::reset() {

@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -64,6 +65,9 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kStageCount = 10;
 
+/// One journey's duration per stage, in picoseconds, indexed by Stage.
+using StageDurations = std::array<std::int64_t, kStageCount>;
+
 /// Display name for a stage ("app-write", "intr-coalesce", ...).
 const char* stage_name(Stage stage);
 
@@ -71,7 +75,7 @@ const char* stage_name(Stage stage);
 /// journey stage durations; stage_total_ps sums to end_to_end_total_ps by
 /// construction (asserted by the stage-conservation test).
 struct SpanBreakdown {
-  std::array<std::int64_t, kStageCount> stage_total_ps{};
+  StageDurations stage_total_ps{};
   std::int64_t end_to_end_total_ps = 0;
   std::uint64_t journeys = 0;    // completed (consumed) journeys
   std::uint64_t opened = 0;      // journeys started
@@ -128,7 +132,15 @@ class SpanProfiler {
 
   /// Drops all aggregates *and* open journeys; used at a bench warmup
   /// boundary so the breakdown covers exactly the measured iterations.
+  /// The journey observer stays.
   void reset();
+
+  /// Called with the stage durations of every journey that completes,
+  /// once it has been folded into the aggregates (null disarms). Aborted
+  /// and overflowed journeys never reach it.
+  void set_journey_observer(std::function<void(const StageDurations&)> fn) {
+    observer_ = std::move(fn);
+  }
 
   SpanBreakdown breakdown() const;
   const sim::Histogram& stage_histogram(Stage stage) const;
@@ -147,7 +159,7 @@ class SpanProfiler {
     }
   };
   struct Journey {
-    std::array<std::int64_t, kStageCount> dur{};
+    StageDurations dur{};
     sim::SimTime begin_at = 0;  // app_send() call time
     sim::SimTime last_at = 0;
     Stage last_stage = Stage::kAppWrite;
@@ -159,7 +171,7 @@ class SpanProfiler {
 
   // std::map: deterministic iteration for finish_consumed()'s range scan.
   std::map<Key, Journey> open_;
-  std::array<std::int64_t, kStageCount> stage_total_ps_{};
+  StageDurations stage_total_ps_{};
   std::int64_t end_to_end_total_ps_ = 0;
   std::uint64_t journeys_ = 0;
   std::uint64_t opened_ = 0;
@@ -170,6 +182,7 @@ class SpanProfiler {
   double hist_max_us_;
   std::size_t hist_buckets_;
   std::size_t max_open_;
+  std::function<void(const StageDurations&)> observer_;
 };
 
 /// Fixed-interval per-flow sampler of the TCP state variables the paper's

@@ -92,7 +92,6 @@ net::Packet Endpoint::make_packet(std::uint32_t payload,
   pkt.tcp.timestamps = ts_on_;
   pkt.tcp.ts_val = sim_.now();
   pkt.tcp.ts_ecr = last_ts_val_;
-  pkt.created_at = sim_.now();
   return pkt;
 }
 
@@ -592,9 +591,6 @@ void Endpoint::send_segment(TxSegment& seg, bool retransmission) {
     }
   }
   if (seg.packets > 1) pkt.tcp.tso_mss = snd_mss_payload_;
-  if (trace_every_ != 0 && (++trace_counter_ % trace_every_) == 0) {
-    pkt.trace.enabled = true;
-  }
   if (!retransmission) {
     seg.first_sent = sim_.now();
     stats_.bytes_sent += seg.len;

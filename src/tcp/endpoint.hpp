@@ -157,10 +157,6 @@ class Endpoint {
   /// Congestion-window trace hook (time, cwnd in segments).
   std::function<void(sim::SimTime, std::uint32_t)> cwnd_trace;
 
-  /// MAGNET sampling: every Nth data segment carries path timestamps
-  /// (0 disables). Negligible simulation cost, like the real tool.
-  void set_trace_sampling(std::uint32_t every_n) { trace_every_ = every_n; }
-
   // --- Observability --------------------------------------------------------
   /// Arms the trace sink: segment tx/rx/drop, RTO, fast retransmit, and
   /// window-update events. Null disarms; an unarmed endpoint behaves
@@ -377,8 +373,6 @@ class Endpoint {
   };
   std::deque<PendingWrite> pending_writes_;
   bool write_in_kernel_ = false;
-  std::uint32_t trace_every_ = 0;
-  std::uint64_t trace_counter_ = 0;
   obs::TraceSink* trace_ = nullptr;
   // Span-profiler bookkeeping: which application write produced which
   // sequence range (to bound the app-write stage), and how far the local

@@ -1,10 +1,31 @@
 #include "tools/magnet.hpp"
 
-#include <memory>
+#include <iterator>
 
+#include "obs/span.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe::tools {
+
+namespace {
+
+/// A MAGNET stage: the span stages `first` through `last`, in path order.
+struct StageGroup {
+  const char* name;
+  obs::Stage first;
+  obs::Stage last;
+};
+
+constexpr StageGroup kGroups[] = {
+    {"tx_host", obs::Stage::kTxRing, obs::Stage::kTxRing},
+    {"tx_dma", obs::Stage::kTxDma, obs::Stage::kTxDma},
+    {"wire", obs::Stage::kWire, obs::Stage::kSwitchQueue},
+    {"rx_dma", obs::Stage::kRxRing, obs::Stage::kRxRing},
+    {"coalesce", obs::Stage::kIntrCoalesce, obs::Stage::kIntrCoalesce},
+    {"rx_kernel", obs::Stage::kRxStack, obs::Stage::kRxStack},
+};
+
+}  // namespace
 
 const MagnetStage* MagnetReport::stage(const std::string& name) const {
   for (const auto& s : stages) {
@@ -25,33 +46,21 @@ MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
                         core::Host& sender, core::Host& receiver,
                         const MagnetOptions& options) {
   MagnetReport report;
-  report.stages = {
-      {"tx_host", {}},   // TCP emit -> adapter (kernel tx path + queue)
-      {"tx_dma", {}},    // adapter -> DMA read complete (PCI-X)
-      {"wire", {}},      // DMA done -> last bit at the peer NIC
-      {"rx_dma", {}},    // arrival -> DMA write complete
-      {"coalesce", {}},  // DMA done -> interrupt raised
-      {"rx_kernel", {}}, // interrupt -> protocol processing done
-  };
-  sim::OnlineStats total;
+  for (const StageGroup& g : kGroups) report.stages.push_back({g.name, {}});
 
-  conn.client->set_trace_sampling(options.sample_every);
-  auto sampled = std::make_shared<std::uint64_t>(0);
-  auto* stages = &report.stages;
-  receiver.packet_tap = [sampled, stages, &tb](const net::Packet& pkt) {
-    if (!pkt.trace.enabled || pkt.payload_bytes == 0) return;
-    ++*sampled;
-    const auto& t = pkt.trace;
-    auto span_us = [](sim::SimTime a, sim::SimTime b) {
-      return sim::to_microseconds(b - a);
-    };
-    (*stages)[0].us.add(span_us(pkt.created_at, t.t_nic));
-    (*stages)[1].us.add(span_us(t.t_nic, t.t_dma_done));
-    (*stages)[2].us.add(span_us(t.t_dma_done, t.t_rx_arrive));
-    (*stages)[3].us.add(span_us(t.t_rx_arrive, t.t_rx_dma));
-    (*stages)[4].us.add(span_us(t.t_rx_dma, t.t_irq));
-    (*stages)[5].us.add(span_us(t.t_irq, tb.now()));
-  };
+  obs::SpanProfiler spans;
+  spans.set_journey_observer([&report](const obs::StageDurations& dur) {
+    for (std::size_t i = 0; i < std::size(kGroups); ++i) {
+      sim::SimTime ps = 0;
+      for (auto s = static_cast<std::size_t>(kGroups[i].first);
+           s <= static_cast<std::size_t>(kGroups[i].last); ++s) {
+        ps += dur[s];
+      }
+      report.stages[i].us.add(sim::to_microseconds(ps));
+    }
+  });
+  obs::SpanProfiler* const previous = tb.span_profiler();
+  tb.set_span_profiler(&spans);
 
   NttcpOptions nt;
   nt.payload = options.payload;
@@ -59,11 +68,10 @@ MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
   nt.timeout = options.timeout;
   const NttcpResult r = run_nttcp(tb, conn, sender, receiver, nt);
 
-  receiver.packet_tap = nullptr;
-  conn.client->set_trace_sampling(0);
+  tb.set_span_profiler(previous);
 
   report.completed = r.completed;
-  report.sampled_packets = *sampled;
+  report.journeys = spans.breakdown().journeys;
   report.throughput_gbps = r.throughput_gbps();
   double sum = 0.0;
   for (const auto& s : report.stages) sum += s.us.mean();

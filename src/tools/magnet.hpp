@@ -7,8 +7,17 @@
 // "an unprecedentedly high-resolution picture of the most expensive aspects
 // of TCP processing overhead".
 //
-// This re-implementation samples every Nth data segment, stamps it at each
-// stage of the simulated path, and aggregates per-stage residence times.
+// This re-implementation is a coarser view of obs::SpanProfiler: it arms a
+// profiler for one NTTCP transfer and folds every completed journey (each
+// data segment that was neither dropped nor retransmitted) into six stages,
+// each an exact sum of span stages:
+//
+//   tx_host   = tx-ring                (TCP emit -> DMA start)
+//   tx_dma    = tx-dma                 (DMA read -> first bit on the wire)
+//   wire      = wire + switch-queue    (every hop, queueing included)
+//   rx_dma    = rx-ring                (last bit in -> DMA write complete)
+//   coalesce  = intr-coalesce          (DMA complete -> interrupt)
+//   rx_kernel = rx-stack               (interrupt -> TCP accepted it)
 #pragma once
 
 #include <cstdint>
@@ -23,7 +32,6 @@ namespace xgbe::tools {
 struct MagnetOptions {
   std::uint32_t payload = 8000;
   std::uint32_t count = 2000;
-  std::uint32_t sample_every = 10;  // trace every Nth segment
   sim::SimTime timeout = sim::sec(120);
 };
 
@@ -35,10 +43,10 @@ struct MagnetStage {
 
 struct MagnetReport {
   bool completed = false;
-  std::uint64_t sampled_packets = 0;
+  std::uint64_t journeys = 0;  // profiled segments
   double throughput_gbps = 0.0;
-  /// Stages in path order: tx host (TCP + driver + queueing), TX DMA,
-  /// wire (+switch), RX DMA, interrupt coalescing, RX kernel.
+  /// Stages in path order: tx host, TX DMA, wire (+switch), RX DMA,
+  /// interrupt coalescing, RX kernel.
   std::vector<MagnetStage> stages;
   double total_us_mean = 0.0;
 
@@ -47,8 +55,9 @@ struct MagnetReport {
   const MagnetStage* hottest() const;
 };
 
-/// Runs an NTTCP transfer with MAGNET sampling enabled on the sender and a
-/// collection tap on the receiver; returns per-stage cost statistics.
+/// Runs an NTTCP transfer with a span profiler armed on the testbed
+/// (classic mode only) and returns per-stage cost statistics. The profiler
+/// the testbed had armed before is restored afterwards.
 MagnetReport run_magnet(core::Testbed& tb, core::Testbed::Connection& conn,
                         core::Host& sender, core::Host& receiver,
                         const MagnetOptions& options);

@@ -78,18 +78,6 @@ std::string fault_summary(const link::Link& wire) {
   return line;
 }
 
-std::unique_ptr<sim::Recorder> make_fault_recorder(sim::Simulator& simulator,
-                                                   const link::Link& wire,
-                                                   sim::SimTime interval) {
-  auto rec = std::make_unique<sim::Recorder>(
-      simulator, interval, [&wire]() {
-        return static_cast<double>(wire.fault_counters().total_drops() +
-                                   wire.drops_queue());
-      });
-  rec->start();
-  return rec;
-}
-
 Capture::Capture(sim::Simulator& simulator, const CaptureOptions& options)
     : sim_(simulator), options_(options), sink_(/*capacity=*/1) {
   sink_.filter = [this](const obs::TraceEvent& ev) {

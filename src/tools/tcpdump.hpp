@@ -11,13 +11,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "link/link.hpp"
 #include "net/packet.hpp"
 #include "obs/trace.hpp"
-#include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::tools {
@@ -44,12 +42,6 @@ std::string format_frame(sim::SimTime at, const net::Packet& pkt);
 /// + queue tail drops). Bench output uses it to show *why* a lossy run
 /// degraded.
 std::string fault_summary(const link::Link& wire);
-
-/// Builds a recorder sampling the link's cumulative fault-induced drops at
-/// `interval`, yielding a loss timeline that lines up with cwnd traces.
-std::unique_ptr<sim::Recorder> make_fault_recorder(sim::Simulator& simulator,
-                                                   const link::Link& wire,
-                                                   sim::SimTime interval);
 
 class Capture {
  public:

@@ -3,13 +3,14 @@
 // in one process or fanned across parallel_sweep worker threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "bench/parallel_sweep.hpp"
 #include "core/testbed.hpp"
-#include "sim/recorder.hpp"
+#include "obs/span.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe {
@@ -19,35 +20,33 @@ struct RunCapture {
   std::uint64_t executed_events = 0;
   double gbps = 0.0;
   std::uint64_t retransmits = 0;
-  std::vector<std::pair<sim::SimTime, double>> samples;
+  std::string samples;  // the flow sampler's CSV
 
   bool operator==(const RunCapture&) const = default;
 };
 
 // One Fig 2a NTTCP run (back-to-back PE2650s, stock tuning), instrumented
-// with a Recorder sampling the sender's acked-byte curve.
+// with a FlowSampler following the sender's cwnd, flight and srtt.
 RunCapture fig2a_run(std::uint32_t payload) {
   core::Testbed tb;
   const auto tuning = core::TuningProfile::stock(9000);
   auto& a = tb.add_host("tx", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("rx", hw::presets::pe2650(), tuning);
   tb.connect(a, b);
+  obs::FlowSampler sampler(sim::usec(200));
+  tb.set_flow_sampler(&sampler);
   auto conn =
       tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
-  sim::Recorder rec(tb.simulator(), sim::usec(200), [&conn] {
-    return static_cast<double>(conn.client->stats().bytes_acked);
-  });
-  rec.start();
   tools::NttcpOptions opt;
   opt.payload = payload;
   opt.count = 400;
   const auto result = tools::run_nttcp(tb, conn, a, b, opt);
-  rec.stop();
+  sampler.stop();
   RunCapture cap;
   cap.executed_events = tb.simulator().executed_events();
   cap.gbps = result.throughput_gbps();
   cap.retransmits = result.retransmits;
-  cap.samples = rec.samples();
+  cap.samples = sampler.to_csv();
   return cap;
 }
 
@@ -56,7 +55,8 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
   const RunCapture second = fig2a_run(8000);
   EXPECT_GT(first.executed_events, 0u);
   EXPECT_GT(first.gbps, 0.0);
-  EXPECT_FALSE(first.samples.empty());
+  // A header line plus sampled rows.
+  EXPECT_GT(std::count(first.samples.begin(), first.samples.end(), '\n'), 1);
   EXPECT_EQ(first, second);
 }
 

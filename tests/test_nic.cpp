@@ -18,17 +18,12 @@ class SinkDevice : public link::NetDevice {
   std::vector<net::Packet> packets;
 };
 
-/// Records when each frame lands, and when its DMA completed (the path
-/// trace stamp).
+/// Records when each frame lands.
 class ClockedSink : public link::NetDevice {
  public:
   explicit ClockedSink(sim::Simulator& s) : sim_(s) {}
-  void deliver(const net::Packet& pkt) override {
-    arrivals.push_back(sim_.now());
-    dma_done.push_back(pkt.trace.t_dma_done);
-  }
+  void deliver(const net::Packet&) override { arrivals.push_back(sim_.now()); }
   std::vector<sim::SimTime> arrivals;
-  std::vector<sim::SimTime> dma_done;
 
  private:
   sim::Simulator& sim_;
@@ -67,7 +62,8 @@ class AdapterFixture : public ::testing::Test {
 
   /// What a transmit run pins: every frame's arrival at the peer (count,
   /// last, FNV-1a over all of them), the DMA completion each one left
-  /// with, and the counters the stall and refusal paths move.
+  /// with (the adapter hands a frame to the link when its DMA completes),
+  /// and the counters the stall and refusal paths move.
   struct TxPin {
     std::size_t frames = 0;
     std::uint64_t tx_frames = 0;
@@ -89,15 +85,17 @@ class AdapterFixture : public ::testing::Test {
     ClockedSink peer(sim_);
     nic.connect(&wire, true);
     wire.attach_b(&peer);
+    // The link taps only the frames it accepts, i.e. those that arrive.
+    std::vector<sim::SimTime> dma_done;
+    wire.tap = [&](const net::Packet&, bool) {
+      dma_done.push_back(sim_.now());
+    };
     fault::HostFaultInjector inj(plan != nullptr ? *plan
                                                  : fault::HostFaultPlan{});
     if (plan != nullptr) nic.set_host_faults(&inj);
     for (const Send& send : sends) {
-      sim_.schedule_at(send.at, [&nic, pkt = &send.pkt] {
-        net::Packet traced = *pkt;
-        traced.trace.enabled = true;
-        nic.transmit(traced);
-      });
+      sim_.schedule_at(send.at,
+                       [&nic, pkt = &send.pkt] { nic.transmit(*pkt); });
     }
     sim_.run();
     TxPin pin;
@@ -105,7 +103,7 @@ class AdapterFixture : public ::testing::Test {
     pin.tx_frames = nic.tx_frames();
     pin.last_arrival = peer.arrivals.empty() ? 0 : peer.arrivals.back();
     pin.arrivals_fnv = fnv(peer.arrivals);
-    pin.dma_done_fnv = fnv(peer.dma_done);
+    pin.dma_done_fnv = fnv(dma_done);
     pin.pci_jobs = nic.pci_bus().jobs_completed();
     pin.drops_queue = wire.drops_queue();
     pin.tx_ring_stalls = inj.counters().tx_ring_stalls;

@@ -174,19 +174,19 @@ TEST_F(KernelFixture, AppReadIncludesWakeupDelay) {
 
 TEST_F(KernelFixture, RxInterruptDeliversInOrder) {
   auto k = make(KernelMode::kSmp);
-  std::vector<std::uint64_t> seen;
+  std::vector<net::Seq> seen;
   std::vector<net::Packet> batch(3);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    batch[i].id = i;
+  for (net::Seq i = 0; i < 3; ++i) {
+    batch[i].tcp.seq = i;
     batch[i].protocol = net::Protocol::kTcp;
     batch[i].payload_bytes = 1448;
     batch[i].frame_bytes = 1518;
   }
   k.rx_interrupt(batch, true, [&](const net::Packet& p) {
-    seen.push_back(p.id);
+    seen.push_back(p.tcp.seq);
   });
   sim_.run();
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(seen, (std::vector<net::Seq>{0, 1, 2}));
 }
 
 TEST_F(KernelFixture, RxAllocFailureDropsFrameWithAccounting) {
@@ -195,21 +195,21 @@ TEST_F(KernelFixture, RxAllocFailureDropsFrameWithAccounting) {
   plan.with_alloc_failure(1.0, /*budget=*/1);  // exactly one kmalloc NULL
   fault::HostFaultInjector inj(plan);
   k.set_host_faults(&inj);
-  std::vector<std::uint64_t> seen;
+  std::vector<net::Seq> seen;
   std::vector<net::Packet> batch(3);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    batch[i].id = i;
+  for (net::Seq i = 0; i < 3; ++i) {
+    batch[i].tcp.seq = i;
     batch[i].protocol = net::Protocol::kTcp;
     batch[i].payload_bytes = 1448;
     batch[i].frame_bytes = 1518;
   }
   k.rx_interrupt(batch, true, [&](const net::Packet& p) {
-    seen.push_back(p.id);
+    seen.push_back(p.tcp.seq);
   });
   sim_.run();
   // The first frame hits the failed allocation and is dropped; the rest
   // flow once the budget is spent. Order is preserved.
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(seen, (std::vector<net::Seq>{1, 2}));
   EXPECT_EQ(inj.counters().alloc_fail_rx, 1u);
 }
 

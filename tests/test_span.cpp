@@ -16,6 +16,7 @@
 #include "core/testbed.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "tools/netpipe.hpp"
 #include "tools/nttcp.hpp"
 
@@ -158,6 +159,36 @@ TEST(SpanProfiler, DroppedSegmentsAbortInsteadOfCorrupting) {
             breakdown.journeys + breakdown.aborted + spans.open_journeys());
   // Aborted journeys leave no residue in the ledger.
   EXPECT_EQ(breakdown.stage_sum_ps(), breakdown.end_to_end_total_ps);
+}
+
+// Null disarms the components already built, so a profiler or sink armed
+// for one run (MAGNET's, say) can go away while the testbed runs on.
+TEST(SpanProfiler, NullDisarmsEveryExistingComponent) {
+  core::Testbed tb;
+  obs::SpanProfiler spans;
+  obs::TraceSink sink(64);
+  tb.set_span_profiler(&spans);
+  tb.set_trace_sink(&sink);
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  tools::NttcpOptions opt;
+  opt.payload = 8948;
+  opt.count = 50;
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  const std::uint64_t opened = spans.breakdown().opened;
+  const std::uint64_t offered = sink.offered();
+  ASSERT_GT(opened, 0u);
+  ASSERT_GT(offered, 0u);
+
+  tb.set_span_profiler(nullptr);
+  tb.set_trace_sink(nullptr);
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  EXPECT_EQ(spans.breakdown().opened, opened);
+  EXPECT_EQ(sink.offered(), offered);
 }
 
 TEST(SpanProfiler, ResetClearsAggregatesAndOpenJourneys) {

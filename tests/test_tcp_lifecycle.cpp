@@ -206,12 +206,12 @@ TimeWaitOutcome run_time_wait_replay() {
                                      rig.b->endpoint_config());
   EXPECT_TRUE(rig.tb.run_until_established(conn));
 
-  // Record the server's FIN off the client host's receive path so it can be
-  // replayed later, exactly as a retransmission would look.
+  // Record the server's FIN off the wire so it can be replayed later,
+  // exactly as a retransmission would look.
   net::Packet server_fin;
   bool have_fin = false;
-  rig.a->packet_tap = [&](const net::Packet& pkt) {
-    if (pkt.tcp.flags.fin && !have_fin) {
+  rig.wire->tap = [&](const net::Packet& pkt, bool) {
+    if (pkt.src == rig.b->node() && pkt.tcp.flags.fin && !have_fin) {
       server_fin = pkt;
       have_fin = true;
     }
@@ -248,7 +248,7 @@ TimeWaitOutcome run_time_wait_replay() {
       " seg=" + std::to_string(conn.client->stats().segments_sent) + "/" +
       std::to_string(conn.client->stats().segments_received) +
       " now=" + std::to_string(rig.tb.now());
-  rig.a->packet_tap = nullptr;
+  rig.wire->tap = nullptr;
   return out;
 }
 
