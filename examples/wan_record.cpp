@@ -20,7 +20,8 @@ struct WanOutcome {
   double gbps = 0.0;
   double rtt_ms = 0.0;
   std::uint64_t retransmits = 0;
-  std::uint64_t drops = 0;
+  std::uint64_t router_drops = 0;   // full router port queues
+  std::uint64_t circuit_drops = 0;  // full circuit transmit queues
   std::vector<std::pair<xgbe::sim::SimTime, std::uint32_t>> cwnd_timeline;
 };
 
@@ -55,7 +56,12 @@ WanOutcome run_wan(std::uint32_t buffer_bytes) {
   out.gbps = r.throughput_gbps();
   out.rtt_ms = sim::to_microseconds(conn.client->srtt()) / 1e3;
   out.retransmits = conn.client->stats().retransmits;
-  for (auto* c : circuits) out.drops += c->drops_queue();
+  // The circuits' transmit queues are unlimited by default, so congestion
+  // overflows the routers' port buffers instead.
+  for (auto* c : circuits) out.circuit_drops += c->drops_queue();
+  for (std::size_t i = 0; i < tb.switch_count(); ++i) {
+    out.router_drops += tb.switch_at(i).dropped_queue_full();
+  }
   for (const auto& row : cwnd.rows()) {
     out.cwnd_timeline.emplace_back(row.at, row.sample.cwnd_segments);
   }
@@ -91,9 +97,13 @@ int main() {
   std::printf("\n-- buffers far above BDP (the failure mode, §4.2) --\n");
   const WanOutcome bad = run_wan(256u * 1024 * 1024);
   std::printf("  throughput : %.3f Gb/s\n", bad.gbps);
-  std::printf("  congestion drops: %llu, retransmits: %llu\n",
-              static_cast<unsigned long long>(bad.drops),
-              static_cast<unsigned long long>(bad.retransmits));
+  std::printf(
+      "  congestion drops: %llu (router queues %llu, circuits %llu), "
+      "retransmits: %llu\n",
+      static_cast<unsigned long long>(bad.router_drops + bad.circuit_drops),
+      static_cast<unsigned long long>(bad.router_drops),
+      static_cast<unsigned long long>(bad.circuit_drops),
+      static_cast<unsigned long long>(bad.retransmits));
   std::printf(
       "  after one loss at this BDP, AIMD needs %s to recover (Table 1)\n",
       xgbe::analysis::format_duration(

@@ -22,6 +22,7 @@ Host::Host(sim::Simulator& simulator, const hw::SystemSpec& system,
   kc.header_splitting = tuning.header_splitting;
   kernel_ = std::make_unique<os::Kernel>(simulator, system_, kc);
   kernel_->set_host_faults(&host_faults_);
+  kernel_->set_deliver([this](const net::Packet& pkt) { demux(pkt); });
   add_adapter(adapter);
 }
 
@@ -41,9 +42,8 @@ std::size_t Host::add_adapter(const nic::AdapterSpec& spec) {
   raw->set_host_faults(&host_faults_);
   if (trace_) raw->set_trace(trace_, node_);
   if (spans_) raw->set_span_profiler(spans_);
-  raw->set_rx_handler([this, raw](net::PacketBatch batch) {
-    kernel_->rx_interrupt(std::move(batch), raw->spec().csum_offload,
-                          [this](const net::Packet& pkt) { demux(pkt); });
+  raw->set_rx_handler([this, raw](const std::vector<net::Packet>& batch) {
+    kernel_->rx_interrupt(batch, raw->spec().csum_offload);
   });
   return index;
 }
@@ -70,9 +70,7 @@ tcp::Endpoint& Host::create_endpoint(const tcp::EndpointConfig& config,
   hooks.flow = flow;
   nic::Adapter* out = adapters_.at(adapter_index).get();
   hooks.emit = [this, out](const net::Packet& pkt) {
-    auto rec = emit_rec_pool_.acquire();
-    *rec = pkt;
-    kernel_->segment_tx(pkt, [out, rec]() { out->transmit(*rec); });
+    kernel_->segment_tx(pkt, [out, pkt]() { out->transmit(pkt); });
   };
   endpoints_.push_back(EndpointSlot{
       remote, flow,
@@ -104,8 +102,8 @@ tcp::Listener& Host::listen(const tcp::ListenerConfig& config,
   // Retire (never destroy) a replaced listener: a Registry armed before a
   // re-listen holds probe closures over the old listener's counters, and a
   // scraper can fire them at any later boundary. Listeners schedule no
-  // events and hold no pool handles, so parking them is free; retired
-  // listeners keep their counters but are not re-registered.
+  // events, so parking them is free; retired listeners keep their counters
+  // but are not re-registered.
   if (listener_) retired_listeners_.push_back(std::move(listener_));
   listener_ = std::make_unique<tcp::Listener>(sim_, config, std::move(hooks));
   if (trace_) listener_->set_trace(trace_);
@@ -183,9 +181,7 @@ void Host::send_rst_for(const net::Packet& in, std::size_t adapter_index) {
                           "no-connection");
   }
   nic::Adapter* out = adapters_.at(adapter_index).get();
-  auto rec = emit_rec_pool_.acquire();
-  *rec = pkt;
-  kernel_->segment_tx(pkt, [out, rec]() { out->transmit(*rec); });
+  kernel_->segment_tx(pkt, [out, pkt]() { out->transmit(pkt); });
 }
 
 void Host::demux(const net::Packet& pkt) {

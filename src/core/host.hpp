@@ -164,9 +164,6 @@ class Host {
   std::uint64_t conn_closes_ = 0;
   std::uint64_t rsts_sent_ = 0;
   bool lifecycle_metrics_ = false;
-  // Segment-emit continuations capture a whole Packet (too big for the
-  // inline callback buffer); pooled records keep the tx path allocation-free.
-  sim::Pool<net::Packet> emit_rec_pool_;
   fault::HostFaultInjector host_faults_;
   obs::TraceSink* trace_ = nullptr;
   obs::SpanProfiler* spans_ = nullptr;

@@ -235,9 +235,9 @@ class Testbed {
   std::size_t switch_shard(const link::EthernetSwitch& sw) const;
 
   // Declared before the component containers: destroyed after them, so
-  // events still queued at teardown (whose callbacks hold pool handles into
-  // component-owned pools) die after the components do — the pools'
-  // refcounted control blocks make that order safe.
+  // events still queued at teardown die after the components do. Their
+  // callbacks hold component pointers and frames by value and run nothing
+  // when destroyed, so that order is safe.
   sim::Simulator sim_;
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::vector<std::unique_ptr<Host>> hosts_;

@@ -115,12 +115,10 @@ void Link::Channel::commit_entry(std::size_t index) {
   // Conservative lookahead guarantees the arrival lands strictly past the
   // window the frame was transmitted in, so the destination clock has not
   // reached it yet; schedule_at never has to clamp.
-  assert(entries_[index].at >= dst_->now());
-  auto rec = pool_.acquire();
-  rec->pkt = entries_[index].pkt;
-  rec->sink = sink;
-  dst_->schedule_at(entries_[index].at,
-                    [rec]() { rec->sink->deliver(rec->pkt); });
+  const Pending& entry = entries_[index];
+  assert(entry.at >= dst_->now());
+  dst_->schedule_at(entry.at,
+                    [sink, pkt = entry.pkt]() { sink->deliver(pkt); });
 }
 
 std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
@@ -237,11 +235,8 @@ void Link::deliver_later(Direction& dir, NetDevice* sink,
   }
   // Lands before the ring's tail (the fault layer delayed an earlier
   // frame): the ring would misorder it, so it keeps its own event.
-  auto rec = dir.delivery_pool.acquire();
-  rec->pkt = pkt;
-  rec->sink = sink;
   sim.schedule_reserved(arrival, seq,
-                        [rec]() { rec->sink->deliver(rec->pkt); });
+                        [sink, pkt]() { sink->deliver(pkt); });
 }
 
 void Link::deliver_head(Direction& dir) {

@@ -11,7 +11,6 @@
 #include "link/device.hpp"
 #include "net/packet.hpp"
 #include "sim/block_fifo.hpp"
-#include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/shard.hpp"
@@ -75,7 +74,8 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///    reserves its tie-break sequence at transmit time and the ring head is
 ///    scheduled with it, so deliveries pop in exactly the (time, seq) order
 ///    one event per frame would give. A frame arriving before the ring's
-///    tail (a reorder or duplicate delay) gets its own event instead.
+///    tail (a reorder or duplicate delay) gets its own event instead, which
+///    carries the frame by value.
 ///  - Sharded: each direction lives on its transmitter's shard; deliveries
 ///    (including same-shard ones, so results cannot depend on the partition)
 ///    are buffered in per-direction exchange channels that the engine
@@ -219,13 +219,6 @@ class Link {
   void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
-  /// One scheduled delivery: the frame plus its destination device,
-  /// pool-recycled so steady-state delivery allocates nothing.
-  struct DeliveryRec {
-    net::Packet pkt;
-    NetDevice* sink = nullptr;
-  };
-
   /// A classic-mode frame on the wire: when it lands, the tie-break
   /// sequence reserved when it was transmitted, and where it goes.
   struct InFlight {
@@ -277,17 +270,12 @@ class Link {
     // Classic mode: frames on the wire in arrival order; only the head has
     // a pending event.
     sim::BlockFifo<InFlight> ring;
-    // Classic-mode pool (sharded deliveries use the channel's pool) for
-    // the per-frame events of out-of-order arrivals.
-    sim::Pool<DeliveryRec> delivery_pool;
   };
 
   /// Exchange buffer for one direction of a sharded link. Appended to by
   /// the transmitting shard's worker during a window; drained by the engine
-  /// at the barrier. The delivery pool is likewise alternately touched by
-  /// the barrier thread (acquire at commit) and the destination shard's
-  /// worker (release after delivery) — never concurrently, ordered by the
-  /// engine's barrier mutex.
+  /// at the barrier, which schedules each frame, by value, on the
+  /// destination shard.
   class Channel final : public sim::ExchangeChannel {
    public:
     void bind(Link* link, bool forward, sim::Simulator* dst) {
@@ -315,7 +303,6 @@ class Link {
     bool forward_ = true;
     sim::Simulator* dst_ = nullptr;
     std::vector<Pending> entries_;
-    sim::Pool<DeliveryRec> pool_;
   };
 
   /// Classic mode: books `pkt` to reach `sink` at `arrival`, on the ring

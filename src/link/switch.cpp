@@ -233,16 +233,13 @@ void EthernetSwitch::on_frame(int /*ingress*/, const net::Packet& pkt) {
       sim::transfer_time(frame.frame_bytes, spec_.backplane_bps);
   backplane_.submit(fabric_time);
   const sim::SimTime cross = spec_.fabric_latency + fabric_time;
-  // A 160-byte frame would overflow the callback's inline buffer; park it
-  // in a pooled node (the duplicate shares it) so forwarding allocates
-  // nothing.
-  auto parked = frame_pool_.acquire();
-  *parked = frame;
+  // The crossing carries the frame by value: [this, egress, frame] is the
+  // largest capture that InlineCallback's buffer is sized for.
   sim_.schedule(cross + verdict.extra_delay,
-                [this, egress, parked]() { egress_frame(egress, *parked); });
+                [this, egress, frame]() { egress_frame(egress, frame); });
   if (verdict.duplicate) {
     sim_.schedule(cross + verdict.extra_delay + verdict.duplicate_delay,
-                  [this, egress, parked]() { egress_frame(egress, *parked); });
+                  [this, egress, frame]() { egress_frame(egress, frame); });
   }
 }
 

@@ -10,7 +10,6 @@
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
-#include "sim/pool.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
@@ -160,8 +159,6 @@ class EthernetSwitch {
   sim::Resource backplane_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<net::NodeId, Route> fdb_;
-  // Frames crossing the fabric, parked between ingress and egress.
-  sim::Pool<net::Packet> frame_pool_;
   fault::FaultInjector fault_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_no_route_ = 0;

@@ -5,11 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/headers.hpp"
 #include "net/seq.hpp"
-#include "sim/pool.hpp"
 #include "sim/time.hpp"
 
 namespace xgbe::net {
@@ -90,12 +88,5 @@ struct Packet {
 constexpr std::uint32_t tcp_ack_frame_bytes(bool timestamps) {
   return tcp_frame_bytes(0, timestamps);
 }
-
-/// Pooled interrupt batch: the adapter recycles batch vectors (capacity and
-/// all) through a free list, and the kernel's per-packet continuations share
-/// the handle instead of a std::make_shared copy — the NIC→kernel handoff
-/// allocates nothing in steady state.
-using PacketBatchPool = sim::Pool<std::vector<Packet>>;
-using PacketBatch = PacketBatchPool::Handle;
 
 }  // namespace xgbe::net

@@ -112,16 +112,12 @@ void Adapter::dma_next_tx() {
       dma_freeze_now();
   // The DMA read traverses host memory once; account the contention.
   membus_.submit(hw::bus_time(mem_spec_, pkt.frame_bytes, 1));
-  // The completion closes over the whole Packet, which would overflow the
-  // inline callback buffer; park it in a pooled record instead.
-  auto rec = dma_rec_pool_.acquire();
-  *rec = std::move(pkt);
-  pci_.submit(bus_time, [this, rec]() {
+  pci_.submit(bus_time, [this, pkt]() {
     // The wire frames of a TSO super-segment free more than it occupies,
     // and the count saturates at zero, so the frames that left before now
     // must leave before it grows.
-    tx_fifo_used_ = tx_fifo_used() + rec->frame_bytes;
-    emit_wire_frames(*rec);
+    tx_fifo_used_ = tx_fifo_used() + pkt.frame_bytes;
+    emit_wire_frames(pkt);
     dma_next_tx();
   });
 }
@@ -231,26 +227,20 @@ void Adapter::receive_frame(const net::Packet& arrived) {
       dma_freeze_now();
   // The DMA write traverses host memory once.
   membus_.submit(hw::bus_time(mem_spec_, pkt.frame_bytes, 1));
-  auto rec = dma_rec_pool_.acquire();
-  *rec = pkt;
-  pci_.submit(bus_time, [this, rec]() {
+  pci_.submit(bus_time, [this, pkt]() mutable {
     // RX DMA write landed in host memory; the interrupt hold-off begins.
-    if (spans_) spans_->mark(*rec, obs::Stage::kIntrCoalesce, sim_.now());
-    if (spec_.rx_corruption_rate > 0.0 && rec->payload_bytes > 0 &&
+    if (spans_) spans_->mark(pkt, obs::Stage::kIntrCoalesce, sim_.now());
+    if (spec_.rx_corruption_rate > 0.0 && pkt.payload_bytes > 0 &&
         corruption_rng_.chance(spec_.rx_corruption_rate)) {
-      rec->corrupted = true;  // damaged after the adapter's checksum check
+      pkt.corrupted = true;  // damaged after the adapter's checksum check
     }
     ++rx_frames_;
-    if (!rx_batch_) {
-      rx_batch_ = batch_pool_.acquire();
-      rx_batch_->clear();  // recycled vectors keep capacity, not contents
-    }
-    rx_batch_->push_back(std::move(*rec));
+    rx_batch_.push_back(pkt);
     // An irq-storm window forces coalescing off: one interrupt per frame.
     const bool storm =
         host_faults_active() && host_faults_->irq_storm(sim_.now());
     if (spec_.intr_delay == 0 || storm ||
-        rx_batch_->size() >= spec_.max_coalesce) {
+        rx_batch_.size() >= spec_.max_coalesce) {
       if (rx_timer_armed_) {
         sim_.cancel(rx_timer_);
         rx_timer_armed_ = false;
@@ -267,7 +257,7 @@ void Adapter::receive_frame(const net::Packet& arrived) {
 }
 
 void Adapter::try_raise_interrupt() {
-  if (!rx_batch_ || rx_batch_->empty()) return;
+  if (rx_batch_.empty()) return;
   if (host_faults_active()) {
     if (host_faults_->interrupt_missed(sim_.now())) {
       // The IRQ line never asserts; DMA'd frames sit in host memory until
@@ -283,12 +273,12 @@ void Adapter::try_raise_interrupt() {
 }
 
 void Adapter::raise_interrupt() {
-  if (!rx_batch_ || rx_batch_->empty()) return;
+  if (rx_batch_.empty()) return;
   ++interrupts_;
   // The driver refills the ring as it pulls the batch in the ISR — unless a
   // replenish stall is in force, in which case the consumed slots stay
   // consumed until the window ends.
-  const auto batch_slots = static_cast<std::uint32_t>(rx_batch_->size());
+  const auto batch_slots = static_cast<std::uint32_t>(rx_batch_.size());
   if (host_faults_active() && host_faults_->rx_ring_stalled(sim_.now())) {
     rx_ring_unreplenished_ += batch_slots;
     if (trace_) {
@@ -300,12 +290,12 @@ void Adapter::raise_interrupt() {
   } else {
     rx_ring_used_ -= batch_slots;
   }
-  net::PacketBatch batch = std::move(rx_batch_);
-  for (net::Packet& p : *batch) {
+  for (const net::Packet& p : rx_batch_) {
     // Interrupt asserted: hold-off ends, the kernel rx path starts.
     if (spans_) spans_->mark(p, obs::Stage::kRxStack, sim_.now());
   }
-  if (rx_handler_) rx_handler_(std::move(batch));
+  if (rx_handler_) rx_handler_(rx_batch_);
+  rx_batch_.clear();
 }
 
 std::uint32_t Adapter::effective_mmrbc_now() {
@@ -370,7 +360,7 @@ void Adapter::arm_irq_recovery_poll() {
   irq_poll_armed_ = true;
   sim_.schedule(host_faults_->plan().irq_recovery_poll, [this]() {
     irq_poll_armed_ = false;
-    if (rx_batch_ && !rx_batch_->empty()) {
+    if (!rx_batch_.empty()) {
       host_faults_->count_irq_recovered();
       raise_interrupt();
     }

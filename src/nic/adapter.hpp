@@ -64,9 +64,9 @@ AdapterSpec intel_e1000();
 class Adapter : public link::NetDevice {
  public:
   /// `rx_handler` is the kernel's interrupt entry: it receives the batch of
-  /// frames already placed in host memory. The batch is a pooled handle so
-  /// interrupt delivery recycles vectors instead of allocating them.
-  using RxHandler = std::function<void(net::PacketBatch)>;
+  /// frames already placed in host memory. The adapter reuses the batch
+  /// vector for its next interrupt, so the handler copies what it keeps.
+  using RxHandler = std::function<void(const std::vector<net::Packet>&)>;
 
   Adapter(sim::Simulator& simulator, const AdapterSpec& spec,
           const hw::PcixSpec& bus, const hw::MemorySpec& mem,
@@ -196,12 +196,9 @@ class Adapter : public link::NetDevice {
   };
   sim::BlockFifo<OnWire> tx_on_wire_;
 
-  // DMA completion records and interrupt batches are pool-recycled: a
-  // Packet capture overflows InlineCallback's 48-byte inline buffer, so
-  // without the pools every frame and every interrupt would heap-allocate.
-  sim::Pool<net::Packet> dma_rec_pool_;
-  net::PacketBatchPool batch_pool_;
-  net::PacketBatch rx_batch_;  // DMA'd, awaiting interrupt (may be empty)
+  // DMA'd, awaiting interrupt. One vector for every interrupt: it keeps its
+  // capacity, so the NIC->kernel handoff allocates nothing in steady state.
+  std::vector<net::Packet> rx_batch_;
   sim::EventId rx_timer_{};
   bool rx_timer_armed_ = false;
   std::uint32_t rx_ring_used_ = 0;

@@ -151,16 +151,8 @@ sim::SimTime Kernel::per_packet_rx_cost(const net::Packet& pkt,
   return cost;
 }
 
-void Kernel::rx_interrupt(std::vector<net::Packet> pkts, bool csum_offloaded,
-                          Deliver deliver) {
-  auto batch = batch_pool_.acquire();
-  *batch = std::move(pkts);
-  rx_interrupt(std::move(batch), csum_offloaded, std::move(deliver));
-}
-
-void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
-                          Deliver deliver) {
-  if (!pkts) return;
+void Kernel::rx_interrupt(const std::vector<net::Packet>& pkts,
+                          bool csum_offloaded) {
   // Interrupt entry/exit is mostly fixed hardware cost; the SMP kernel adds
   // only a mild penalty here (no shared socket state touched yet).
   const double entry_f = config_.mode == KernelMode::kSmp ? 1.2 : 1.0;
@@ -171,16 +163,8 @@ void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
   // protocol processing follows on the same CPU (softirq affinity). NAPI
   // only schedules the poll from the interrupt; per-packet work is cheaper.
   // Either way the work serializes on the IRQ CPU, which is the point of
-  // the paper's SMP observation. The per-packet continuations share the
-  // pooled batch handle and a pooled Deliver copy (24 bytes of capture —
-  // inline, no allocation), instead of the two make_shared the pre-pool
-  // implementation paid per interrupt. The handle is captured by value from
-  // the non-const parameter: a copy of a const member would make the lambda
-  // not nothrow-movable, which sends it down InlineCallback's heap path.
-  auto cb = deliver_pool_.acquire();
-  *cb = std::move(deliver);
-  for (std::size_t i = 0; i < pkts->size(); ++i) {
-    const net::Packet& pkt = (*pkts)[i];
+  // the paper's SMP observation.
+  for (const net::Packet& pkt : pkts) {
     // Host-path fault: no replacement skb for the ring slot — the driver
     // drops the frame and TCP retransmission recovers it. The failed
     // allocation attempt still burns IRQ-CPU time.
@@ -225,7 +209,9 @@ void Kernel::rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
       if (spans_) spans_->abort(pkt);
       continue;
     }
-    irq_cpu().submit(cost, [batch = pkts, cb, i]() { (*cb)((*batch)[i]); });
+    irq_cpu().submit(cost, [this, pkt]() {
+      if (deliver_) deliver_(pkt);
+    });
   }
 }
 
@@ -247,14 +233,11 @@ void Kernel::app_read(std::uint64_t payload_bytes, Done done) {
   const double f = mode_factor();
   const auto fixed =
       static_cast<sim::SimTime>(static_cast<double>(costs_.syscall) * f);
-  // The wakeup continuation would carry the 64-byte Done past the inline
-  // buffer; park it in a pooled node instead (as Link::transmit does).
-  auto parked = done_pool_.acquire();
-  *parked = std::move(done);
+  woken_reads_.push_back(std::move(done));
   if (config_.header_splitting) {
     // Payload already sits in application memory; the read only returns.
-    sim_.schedule(costs_.wakeup, [this, fixed, parked]() {
-      app_cpu().submit(fixed, std::move(*parked));
+    sim_.schedule(costs_.wakeup, [this, fixed]() {
+      app_cpu().submit(fixed, next_woken_read());
     });
     return;
   }
@@ -268,9 +251,15 @@ void Kernel::app_read(std::uint64_t payload_bytes, Done done) {
       costs_.rx_copy_factor);
   // The blocked reader must first be woken and scheduled; that latency is
   // dead time, not CPU load.
-  sim_.schedule(costs_.wakeup, [this, cpu_cost, bus_cost, parked]() {
-    copy_job(app_cpu(), cpu_cost, bus_cost, std::move(*parked));
+  sim_.schedule(costs_.wakeup, [this, cpu_cost, bus_cost]() {
+    copy_job(app_cpu(), cpu_cost, bus_cost, next_woken_read());
   });
+}
+
+Kernel::Done Kernel::next_woken_read() {
+  Done done = std::move(woken_reads_.front());
+  woken_reads_.pop_front();
+  return done;
 }
 
 double Kernel::cpu_load() const {

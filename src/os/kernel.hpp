@@ -12,7 +12,7 @@
 #include "net/packet.hpp"
 #include "os/config.hpp"
 #include "os/costs.hpp"
-#include "sim/pool.hpp"
+#include "sim/block_fifo.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
@@ -37,8 +37,8 @@ namespace xgbe::os {
 class Kernel {
  public:
   // Completion continuations ride the event hot path, so they use the
-  // simulator's allocation-free callback type; Deliver is invoked once per
-  // packet through a shared copy and stays a std::function.
+  // simulator's allocation-free callback type; Deliver is held once for
+  // every interrupt (set_deliver) and stays a std::function.
   using Done = sim::InlineCallback;
   using Deliver = std::function<void(const net::Packet&)>;
 
@@ -60,19 +60,16 @@ class Kernel {
   void segment_tx(const net::Packet& pkt, Done emit);
 
   // --- Receive path --------------------------------------------------------
-  /// Handles one NIC interrupt carrying `pkts` (already DMA'd to memory).
-  /// `deliver` is invoked per packet once protocol processing finishes.
-  /// `csum_offloaded` reflects the adapter's receive-checksum capability.
-  /// The pooled-handle form is the adapter's hot path: per-packet
-  /// continuations share the batch handle and a pooled Deliver copy, so an
-  /// interrupt costs zero allocations in steady state.
-  void rx_interrupt(net::PacketBatch pkts, bool csum_offloaded,
-                    Deliver deliver);
+  /// Where received packets go once protocol processing finishes (the
+  /// host's demux). Unset, the kernel still charges the work and drops them.
+  void set_deliver(Deliver deliver) { deliver_ = std::move(deliver); }
 
-  /// Convenience overload for direct callers (unit tests, tools): wraps the
-  /// vector in a pooled batch.
-  void rx_interrupt(std::vector<net::Packet> pkts, bool csum_offloaded,
-                    Deliver deliver);
+  /// Handles one NIC interrupt carrying `pkts` (already DMA'd to memory):
+  /// each packet's continuation carries its own copy to the deliver
+  /// function. `csum_offloaded` reflects the adapter's receive-checksum
+  /// capability.
+  void rx_interrupt(const std::vector<net::Packet>& pkts,
+                    bool csum_offloaded);
 
   /// Application read: syscall + copy_to_user of `payload_bytes`.
   void app_read(std::uint64_t payload_bytes, Done done);
@@ -131,6 +128,8 @@ class Kernel {
   bool host_faults_active() const {
     return host_faults_ != nullptr && host_faults_->active();
   }
+  /// Pops the oldest waiting app_read continuation (its wakeup fired).
+  Done next_woken_read();
 
   sim::Simulator& sim_;
   hw::SystemSpec spec_;
@@ -138,9 +137,12 @@ class Kernel {
   KernelCosts costs_;
   sim::Resource membus_;
   std::vector<std::unique_ptr<sim::Resource>> cpus_;
-  sim::Pool<Deliver> deliver_pool_;
-  sim::Pool<Done> done_pool_;  // app_read's continuation across the wakeup
-  net::PacketBatchPool batch_pool_;  // for the vector convenience overload
+  Deliver deliver_;
+  // app_read continuations waiting out the reader's wakeup. Every wakeup
+  // takes costs_.wakeup, so they fire in the order they were queued. The
+  // wakeup event cannot carry its Done: an InlineCallback holding another
+  // never fits the inline buffer.
+  sim::BlockFifo<Done> woken_reads_;
   std::uint64_t csum_drops_ = 0;
   fault::HostFaultInjector* host_faults_ = nullptr;
   obs::TraceSink* trace_ = nullptr;

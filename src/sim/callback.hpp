@@ -1,16 +1,16 @@
 // Small-buffer-optimized event callback.
 //
 // Scheduling a simulation event should not allocate: hot-path capture sets
-// (timer lambdas capturing `this`, completion continuations holding a pooled
-// handle or two) fit a 48-byte inline buffer, and Simulator::heap_fallbacks()
-// counts the scheduled callbacks that do not, so tests can pin the hot paths
-// at zero. Larger callables still work through a heap fallback, so the type
-// is a drop-in replacement for std::function<void()> at the scheduling
-// boundary — with two deliberate differences: it is move-only (so it can
-// hold move-only captures, e.g. a continuation that owns another
-// InlineCallback), and invoking an empty callback is a no-op contractually
-// guarded by callers (the simulator tests with operator bool before
-// dispatch).
+// (timer lambdas capturing `this`, per-frame continuations carrying the
+// frame itself by value) fit a 104-byte inline buffer, and
+// Simulator::heap_fallbacks() counts the scheduled callbacks that do not, so
+// tests can pin the hot paths at zero. Larger callables still work through
+// a heap fallback, so the type is a drop-in replacement for
+// std::function<void()> at the scheduling boundary — with two deliberate
+// differences: it is move-only (so it can hold move-only captures, e.g. a
+// continuation that owns another InlineCallback), and invoking an empty
+// callback is a no-op contractually guarded by callers (the simulator tests
+// with operator bool before dispatch).
 #pragma once
 
 #include <cstddef>
@@ -23,7 +23,12 @@ namespace xgbe::sim {
 
 class InlineCallback {
  public:
-  static constexpr std::size_t kInlineBytes = 48;
+  /// One net::Packet (88 bytes) plus two words: every event that carries a
+  /// frame captures it by value, and the largest such capture is the
+  /// switch's fabric crossing, [this, egress port, frame], at 104 bytes.
+  /// A frame that outgrows this fails test_sim's static_asserts instead of
+  /// silently allocating per event.
+  static constexpr std::size_t kInlineBytes = 104;
 
   /// True when callables of type F are stored inline (no allocation).
   /// Exposed so tests can pin the size budget of hot-path capture sets.
@@ -86,7 +91,7 @@ class InlineCallback {
   // its ops pointer instead of destroying again.
   using Manage = void (*)(void* src, void* dst);
   // One static table per stored type, so the object carries a single
-  // pointer next to its buffer and stays 64 bytes.
+  // pointer next to its buffer and stays 112 bytes.
   struct Ops {
     Invoke invoke;
     Manage manage;

@@ -6,7 +6,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "core/testbed.hpp"
+#include "fault/fault.hpp"
 #include "link/wan.hpp"
 #include "obs/span.hpp"
 #include "tools/iperf.hpp"
@@ -398,6 +400,60 @@ TEST(HeapFallbacks, ShortLandSpeedRecordRunStaysInline) {
   ASSERT_TRUE(lsr.run().completed);
   EXPECT_GT(lsr.tb.simulator().executed_events(), 100000u);
   EXPECT_EQ(lsr.tb.simulator().heap_fallbacks(), 0u);
+}
+
+fault::FaultPlan reorder_and_duplicate(std::uint64_t seed) {
+  return fault::FaultPlan{}
+      .with_seed(seed)
+      .with_duplication(0.02)
+      .with_reordering(0.02, sim::usec(30));
+}
+
+// Fault plans send frames down the per-frame events the clean paths never
+// schedule: the link's out-of-order deliveries, the switch's delayed and
+// duplicate fabric crossings, and the adapter's delayed and duplicate
+// receives. Each carries its frame by value and must stay inline.
+TEST(HeapFallbacks, ReorderingDuplicatingSwitchedPathStaysInline) {
+  core::Testbed tb;
+  auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  auto& sw = tb.add_switch();
+  link::Link& uplink = tb.connect_to_switch(a, sw);
+  tb.connect_to_switch(b, sw);
+  uplink.set_fault_plan(reorder_and_duplicate(1));
+  sw.set_fault_plan(reorder_and_duplicate(2));
+  b.adapter().set_rx_fault_plan(reorder_and_duplicate(3));
+  auto cfg = tools::iperf_config(a.endpoint_config());
+  auto conn = tb.open_connection(a, b, cfg, cfg);
+  tools::IperfOptions opt;
+  opt.warmup = sim::msec(5);
+  opt.duration = sim::msec(20);
+  ASSERT_TRUE(tools::run_iperf(tb, conn, a, b, opt).completed);
+  for (const fault::FaultCounters& c :
+       {uplink.fault_counters(), sw.fault_counters(),
+        b.adapter().rx_fault_counters()}) {
+    EXPECT_GT(c.reorders, 0u);
+    EXPECT_GT(c.duplicates, 0u);
+  }
+  EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
+}
+
+// Sharded links deliver through exchange channels: the barrier schedules
+// each frame on its destination shard, faulted frames included.
+TEST(HeapFallbacks, TwoShardTestbedStaysInline) {
+  core::cluster::Options opt;
+  opt.hosts = 4;
+  opt.shards = 2;
+  opt.link_fault = reorder_and_duplicate(4);
+  auto c = core::cluster::build(opt);
+  core::cluster::drive(*c, sim::msec(1), sim::msec(4));
+  EXPECT_GT(c->consumed, 0u);
+  EXPECT_GT(c->tb.engine().exchanged(), 500u);
+  for (std::size_t i = 0; i < c->tb.engine().shard_count(); ++i) {
+    EXPECT_GT(c->tb.shard_simulator(i).executed_events(), 1000u);
+    EXPECT_EQ(c->tb.shard_simulator(i).heap_fallbacks(), 0u) << "shard " << i;
+  }
 }
 
 // Samples the event set and the sender's flight at a fixed cadence,

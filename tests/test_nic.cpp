@@ -181,8 +181,8 @@ TEST_F(AdapterFixture, MmrbcChangesApply) {
 TEST_F(AdapterFixture, CoalescingBatchesPackets) {
   auto nic = make(4096, sim::usec(5));
   std::vector<std::size_t> batch_sizes;
-  nic->set_rx_handler([&](net::PacketBatch batch) {
-    batch_sizes.push_back(batch->size());
+  nic->set_rx_handler([&](const std::vector<net::Packet>& batch) {
+    batch_sizes.push_back(batch.size());
   });
   // Three frames arrive 1 us apart: all inside the 5 us coalescing window.
   for (int i = 0; i < 3; ++i) {
@@ -197,8 +197,8 @@ TEST_F(AdapterFixture, CoalescingBatchesPackets) {
 TEST_F(AdapterFixture, CoalescingDisabledInterruptsPerPacket) {
   auto nic = make(4096, 0);
   std::vector<std::size_t> batch_sizes;
-  nic->set_rx_handler([&](net::PacketBatch batch) {
-    batch_sizes.push_back(batch->size());
+  nic->set_rx_handler([&](const std::vector<net::Packet>& batch) {
+    batch_sizes.push_back(batch.size());
   });
   for (int i = 0; i < 3; ++i) {
     sim_.schedule(sim::usec(i), [&] { nic->deliver(data_packet(1448)); });
@@ -211,7 +211,7 @@ TEST_F(AdapterFixture, CoalescingDisabledInterruptsPerPacket) {
 TEST_F(AdapterFixture, CoalescingDelayBoundsLatency) {
   auto nic = make(4096, sim::usec(5));
   sim::SimTime irq_at = -1;
-  nic->set_rx_handler([&](net::PacketBatch) { irq_at = sim_.now(); });
+  nic->set_rx_handler([&](const std::vector<net::Packet>&) { irq_at = sim_.now(); });
   nic->deliver(data_packet(1));
   sim_.run();
   // DMA first, then the 5 us delay.
@@ -226,8 +226,8 @@ TEST_F(AdapterFixture, FullBatchRaisesEarly) {
   s.max_coalesce = 4;
   Adapter nic(sim_, s, sys_.pcix, sys_.memory, 4096, membus_, "eth0");
   std::vector<std::size_t> batch_sizes;
-  nic.set_rx_handler([&](net::PacketBatch batch) {
-    batch_sizes.push_back(batch->size());
+  nic.set_rx_handler([&](const std::vector<net::Packet>& batch) {
+    batch_sizes.push_back(batch.size());
   });
   for (int i = 0; i < 4; ++i) nic.deliver(data_packet(1448));
   sim_.run_until(sim::msec(1));
@@ -241,7 +241,7 @@ TEST_F(AdapterFixture, RxRingOverflowDrops) {
   s.intr_delay = sim::msec(100);  // interrupt never fires in time
   s.max_coalesce = 1000;
   Adapter nic(sim_, s, sys_.pcix, sys_.memory, 4096, membus_, "eth0");
-  nic.set_rx_handler([](net::PacketBatch) {});
+  nic.set_rx_handler([](const std::vector<net::Packet>&) {});
   for (int i = 0; i < 20; ++i) nic.deliver(data_packet(1448));
   sim_.run_until(sim::usec(1));
   EXPECT_GT(nic.rx_dropped_ring(), 0u);
@@ -372,8 +372,8 @@ TEST_F(AdapterFixture, RxRingStallDropsThenRecovers) {
   fault::HostFaultInjector inj(plan);
   nic.set_host_faults(&inj);
   std::size_t delivered = 0;
-  nic.set_rx_handler([&](net::PacketBatch batch) {
-    delivered += batch->size();
+  nic.set_rx_handler([&](const std::vector<net::Packet>& batch) {
+    delivered += batch.size();
   });
   // Fill the ring during the stall: consumed slots are not replenished...
   for (int i = 0; i < 8; ++i) {
@@ -440,9 +440,9 @@ TEST_F(AdapterFixture, MissedInterruptRescuedByRecoveryPoll) {
   nic->set_host_faults(&inj);
   sim::SimTime irq_at = -1;
   std::size_t delivered = 0;
-  nic->set_rx_handler([&](net::PacketBatch batch) {
+  nic->set_rx_handler([&](const std::vector<net::Packet>& batch) {
     irq_at = sim_.now();
-    delivered += batch->size();
+    delivered += batch.size();
   });
   nic->deliver(data_packet(1448));
   sim_.run();
@@ -459,8 +459,8 @@ TEST_F(AdapterFixture, IrqStormForcesPerFrameInterrupts) {
   fault::HostFaultInjector inj(plan);
   nic->set_host_faults(&inj);
   std::vector<std::size_t> batch_sizes;
-  nic->set_rx_handler([&](net::PacketBatch batch) {
-    batch_sizes.push_back(batch->size());
+  nic->set_rx_handler([&](const std::vector<net::Packet>& batch) {
+    batch_sizes.push_back(batch.size());
   });
   for (int i = 0; i < 3; ++i) {
     sim_.schedule(sim::usec(i), [&] { nic->deliver(data_packet(1448)); });

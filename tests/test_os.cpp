@@ -172,6 +172,20 @@ TEST_F(KernelFixture, AppReadIncludesWakeupDelay) {
   EXPECT_LT(k.app_cpu().busy_time(), k.costs().wakeup);
 }
 
+TEST_F(KernelFixture, QueuedReadsWakeInCallOrder) {
+  // Each read's continuation waits out the same wakeup delay, so reads
+  // issued together and a read issued mid-wakeup complete in call order,
+  // the large copy first.
+  auto k = make(KernelMode::kUniprocessor);
+  std::vector<int> order;
+  k.app_read(65536, [&] { order.push_back(0); });
+  k.app_read(1, [&] { order.push_back(1); });
+  sim_.schedule(k.costs().wakeup / 2,
+                [&] { k.app_read(1, [&] { order.push_back(2); }); });
+  sim_.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST_F(KernelFixture, RxInterruptDeliversInOrder) {
   auto k = make(KernelMode::kSmp);
   std::vector<net::Seq> seen;
@@ -182,9 +196,8 @@ TEST_F(KernelFixture, RxInterruptDeliversInOrder) {
     batch[i].payload_bytes = 1448;
     batch[i].frame_bytes = 1518;
   }
-  k.rx_interrupt(batch, true, [&](const net::Packet& p) {
-    seen.push_back(p.tcp.seq);
-  });
+  k.set_deliver([&](const net::Packet& p) { seen.push_back(p.tcp.seq); });
+  k.rx_interrupt(batch, true);
   sim_.run();
   EXPECT_EQ(seen, (std::vector<net::Seq>{0, 1, 2}));
 }
@@ -203,9 +216,8 @@ TEST_F(KernelFixture, RxAllocFailureDropsFrameWithAccounting) {
     batch[i].payload_bytes = 1448;
     batch[i].frame_bytes = 1518;
   }
-  k.rx_interrupt(batch, true, [&](const net::Packet& p) {
-    seen.push_back(p.tcp.seq);
-  });
+  k.set_deliver([&](const net::Packet& p) { seen.push_back(p.tcp.seq); });
+  k.rx_interrupt(batch, true);
   sim_.run();
   // The first frame hits the failed allocation and is dropped; the rest
   // flow once the budget is spent. Order is preserved.
@@ -256,7 +268,7 @@ TEST_F(KernelFixture, InactiveHostFaultsLeaveTimingBitIdentical) {
     p.protocol = net::Protocol::kTcp;
     p.payload_bytes = 8948;
     p.frame_bytes = 9014;
-    k.rx_interrupt({p}, true, [](const net::Packet&) {});
+    k.rx_interrupt({p}, true);
     sim_.run();
     EXPECT_TRUE(done);
     return k.app_cpu().busy_time() + k.irq_cpu().busy_time() +
@@ -272,7 +284,7 @@ TEST_F(KernelFixture, ChecksumOffloadSavesCpu) {
     p.protocol = net::Protocol::kTcp;
     p.payload_bytes = 8948;
     p.frame_bytes = 9014;
-    k.rx_interrupt({p}, offload, [](const net::Packet&) {});
+    k.rx_interrupt({p}, offload);
     sim_.run();
     return k.irq_cpu().busy_time();
   };
@@ -286,7 +298,7 @@ TEST_F(KernelFixture, GhostTrafficOnlyForOversizedBlocks) {
     p.protocol = net::Protocol::kTcp;
     p.payload_bytes = frame - 66;
     p.frame_bytes = frame;
-    k.rx_interrupt({p}, true, [](const net::Packet&) {});
+    k.rx_interrupt({p}, true);
     sim_.run();
     return k.membus().busy_time();
   };

@@ -10,9 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/shard.hpp"
@@ -63,8 +63,11 @@ TEST(InlineCallback, InvokesAndReportsEmpty) {
 
 TEST(InlineCallback, HotPathCaptureSetsStayInline) {
   // The capture sets the simulator schedules millions of times: a timer
-  // lambda (`this`), and completion continuations holding 1-2 shared_ptrs.
-  // These must never hit the allocator.
+  // lambda (`this`), completion continuations holding 1-2 shared_ptrs, and
+  // per-frame events carrying their frame by value — a component pointer
+  // plus the frame (host emit, NIC DMA, kernel rx, link delivery), and the
+  // switch's fabric crossing, which adds the egress port. These must never
+  // hit the allocator: a Packet that grows fails the build here.
   struct Dummy {
     void fire() {}
   } d;
@@ -76,22 +79,38 @@ TEST(InlineCallback, HotPathCaptureSetsStayInline) {
   static_assert(InlineCallback::fits_inline<decltype(continuation)>());
   auto three = [sp1, sp2, i = std::size_t{0}]() mutable { *sp2 += (int)i++; };
   static_assert(InlineCallback::fits_inline<decltype(three)>());
+  Dummy* self = &d;
+  const net::Packet frame{};
+  auto carry = [self, frame] { self->fire(); };
+  static_assert(InlineCallback::fits_inline<decltype(carry)>());
+  const int port = 3;
+  auto cross = [self, port, frame] { self->fire(); };
+  static_assert(InlineCallback::fits_inline<decltype(cross)>());
 }
 
-TEST(InlineCallback, ConstCapturedPoolHandleTakesTheHeapPath) {
-  // Copy-capturing a const handle makes a const member, which moves by
-  // copy — and Pool::Handle's copy is not noexcept, so the lambda is not
+TEST(InlineCallback, ConstCaptureOfThrowingCopyTakesTheHeapPath) {
+  // Copy-capturing a const object makes a const member, which moves by
+  // copy — and this type's copy is not noexcept, so the lambda is not
   // nothrow-movable and allocates despite its 8-byte size. An init-capture
   // deduces a non-const member and stays inline.
-  Pool<int> pool;
-  const Pool<int>::Handle handle = pool.acquire();
-  auto by_const = [handle] { ++*handle; };
+  struct Counter {
+    explicit Counter(int* target) : hits(target) {}
+    Counter(const Counter& other) : hits(other.hits) {}
+    Counter(Counter&&) noexcept = default;
+    int* hits;
+  };
+  int hits = 0;
+  const Counter handle(&hits);
+  auto by_const = [handle] { ++*handle.hits; };
   static_assert(sizeof(by_const) <= InlineCallback::kInlineBytes);
   static_assert(!InlineCallback::fits_inline<decltype(by_const)>());
   EXPECT_TRUE(InlineCallback(by_const).on_heap());
-  auto by_value = [h = handle] { ++*h; };
+  auto by_value = [h = handle] { ++*h.hits; };
   static_assert(InlineCallback::fits_inline<decltype(by_value)>());
-  EXPECT_FALSE(InlineCallback(by_value).on_heap());
+  InlineCallback inline_cb(by_value);
+  EXPECT_FALSE(inline_cb.on_heap());
+  inline_cb();
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(InlineCallback, MoveTransfersOwnership) {
