@@ -22,7 +22,7 @@ int main() {
 
   tools::CaptureOptions copt;
   copt.max_lines = 40;
-  tools::Capture cap(tb.simulator(), copt);
+  tools::Capture cap(tb, copt);
   cap.attach(wire);
 
   auto conn =

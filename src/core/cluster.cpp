@@ -12,9 +12,6 @@ std::unique_ptr<Cluster> build(const Options& options) {
   // 0 keeps the engine's default resolution (env override, then hardware
   // concurrency); set_threads(0) would instead force the serial path.
   if (options.threads != 0) c->tb.engine().set_threads(options.threads);
-  if (!options.shard_traces.empty()) {
-    c->tb.set_shard_trace_sinks(options.shard_traces);
-  }
   const auto system = hw::presets::pe2650();
   const auto tuning = TuningProfile::with_big_windows(options.mtu);
 

@@ -32,9 +32,6 @@ struct Options {
   /// per pair (never per shard — the fault schedule is part of the workload
   /// and must not depend on the partition).
   fault::FaultPlan link_fault;
-  /// Per-shard trace sinks (size must equal `shards`; empty = no tracing).
-  /// Armed before the topology is built so links record per direction too.
-  std::vector<obs::TraceSink*> shard_traces;
 };
 
 /// A built cluster: the testbed plus the open connections (one per pair).

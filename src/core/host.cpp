@@ -7,12 +7,13 @@ namespace xgbe::core {
 
 Host::Host(sim::Simulator& simulator, const hw::SystemSpec& system,
            const TuningProfile& tuning, const nic::AdapterSpec& adapter,
-           net::NodeId node, std::string name)
+           net::NodeId node, std::string name, const obs::Instruments* obs)
     : sim_(simulator),
       name_(std::move(name)),
       node_(node),
       system_(system),
-      tuning_(tuning) {
+      tuning_(tuning),
+      obs_(obs) {
   os::KernelConfig kc;
   kc.mode = tuning.kernel;
   kc.rx_api = tuning.rx_api;
@@ -20,7 +21,7 @@ Host::Host(sim::Simulator& simulator, const hw::SystemSpec& system,
   kc.sndbuf_bytes = tuning.sndbuf;
   kc.txqueuelen = tuning.txqueuelen;
   kc.header_splitting = tuning.header_splitting;
-  kernel_ = std::make_unique<os::Kernel>(simulator, system_, kc);
+  kernel_ = std::make_unique<os::Kernel>(simulator, system_, kc, obs_);
   kernel_->set_host_faults(&host_faults_);
   kernel_->set_deliver([this](const net::Packet& pkt) { demux(pkt); });
   add_adapter(adapter);
@@ -37,11 +38,9 @@ std::size_t Host::add_adapter(const nic::AdapterSpec& spec) {
   const std::size_t index = adapters_.size();
   adapters_.push_back(std::make_unique<nic::Adapter>(
       sim_, s, system_.pcix, system_.memory, mmrbc, kernel_->membus(),
-      name_ + "/eth" + std::to_string(index)));
+      name_ + "/eth" + std::to_string(index), obs_, node_));
   nic::Adapter* raw = adapters_.back().get();
   raw->set_host_faults(&host_faults_);
-  if (trace_) raw->set_trace(trace_, node_);
-  if (spans_) raw->set_span_profiler(spans_);
   raw->set_rx_handler([this, raw](const std::vector<net::Packet>& batch) {
     kernel_->rx_interrupt(batch, raw->spec().csum_offload);
   });
@@ -68,6 +67,7 @@ tcp::Endpoint& Host::create_endpoint(const tcp::EndpointConfig& config,
   hooks.local_node = node_;
   hooks.remote_node = remote;
   hooks.flow = flow;
+  hooks.obs = obs_;
   nic::Adapter* out = adapters_.at(adapter_index).get();
   hooks.emit = [this, out](const net::Packet& pkt) {
     kernel_->segment_tx(pkt, [out, pkt]() { out->transmit(pkt); });
@@ -82,8 +82,6 @@ tcp::Endpoint& Host::create_endpoint(const tcp::EndpointConfig& config,
       if (conn_table_.erase(remote, flow, ep)) ++conn_closes_;
     });
   }
-  if (trace_) ep->set_trace(trace_);
-  if (spans_) ep->set_span_profiler(spans_);
   return *ep;
 }
 
@@ -99,6 +97,7 @@ tcp::Listener& Host::listen(const tcp::ListenerConfig& config,
   hooks.send_rst = [this, adapter_index](const net::Packet& pkt) {
     send_rst_for(pkt, adapter_index);
   };
+  hooks.obs = obs_;
   // Retire (never destroy) a replaced listener: a Registry armed before a
   // re-listen holds probe closures over the old listener's counters, and a
   // scraper can fire them at any later boundary. Listeners schedule no
@@ -106,24 +105,8 @@ tcp::Listener& Host::listen(const tcp::ListenerConfig& config,
   // but are not re-registered.
   if (listener_) retired_listeners_.push_back(std::move(listener_));
   listener_ = std::make_unique<tcp::Listener>(sim_, config, std::move(hooks));
-  if (trace_) listener_->set_trace(trace_);
   lifecycle_metrics_ = true;
   return *listener_;
-}
-
-void Host::set_trace(obs::TraceSink* sink) {
-  trace_ = sink;
-  kernel_->set_trace(sink, node_);
-  for (auto& adapter : adapters_) adapter->set_trace(sink, node_);
-  for (auto& slot : endpoints_) slot.ep->set_trace(sink);
-  if (listener_) listener_->set_trace(sink);
-}
-
-void Host::set_span_profiler(obs::SpanProfiler* spans) {
-  spans_ = spans;
-  kernel_->set_span_profiler(spans);
-  for (auto& adapter : adapters_) adapter->set_span_profiler(spans);
-  for (auto& slot : endpoints_) slot.ep->set_span_profiler(spans);
 }
 
 void Host::register_metrics(obs::Registry& reg,
@@ -176,9 +159,9 @@ void Host::send_rst_for(const net::Packet& in, std::size_t adapter_index) {
                   (in.tcp.flags.syn ? 1 : 0) + (in.tcp.flags.fin ? 1 : 0);
   }
   ++rsts_sent_;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kRst, sim_.now(), pkt, "host",
-                          "no-connection");
+  if (obs_->trace) {
+    obs_->trace->record_packet(obs::EventType::kRst, sim_.now(), pkt, "host",
+                               "no-connection");
   }
   nic::Adapter* out = adapters_.at(adapter_index).get();
   kernel_->segment_tx(pkt, [out, pkt]() { out->transmit(pkt); });

@@ -13,6 +13,7 @@
 #include "hw/system.hpp"
 #include "net/packet.hpp"
 #include "nic/adapter.hpp"
+#include "obs/instruments.hpp"
 #include "os/kernel.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/conn_table.hpp"
@@ -26,9 +27,12 @@ namespace xgbe::core {
 /// the paper's testbed), and any TCP endpoints living on the host.
 class Host {
  public:
+  /// `obs` is the instrument bundle of the host's shard, handed on to the
+  /// kernel, every adapter, endpoint and listener.
   Host(sim::Simulator& simulator, const hw::SystemSpec& system,
        const TuningProfile& tuning, const nic::AdapterSpec& adapter,
-       net::NodeId node, std::string name);
+       net::NodeId node, std::string name,
+       const obs::Instruments* obs = &obs::Instruments::none());
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -112,14 +116,6 @@ class Host {
   }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink on the kernel, every adapter, and every endpoint —
-  /// existing and future (components created later inherit the sink).
-  void set_trace(obs::TraceSink* sink);
-
-  /// Arms the span profiler the same way (kernel + adapters + endpoints,
-  /// existing and future). Null disarms.
-  void set_span_profiler(obs::SpanProfiler* spans);
-
   /// Registers the whole host under `prefix`: kernel at "/kernel", adapters
   /// at "/nic<i>", endpoints at "/tcp/flow<id>", plus host-fault counters
   /// and demux accounting. Endpoints created after this call are not
@@ -165,8 +161,7 @@ class Host {
   std::uint64_t rsts_sent_ = 0;
   bool lifecycle_metrics_ = false;
   fault::HostFaultInjector host_faults_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
+  const obs::Instruments* obs_;
   std::uint64_t frames_demuxed_ = 0;
   std::uint64_t frames_unclaimed_ = 0;
 };

@@ -3,7 +3,6 @@
 #include "obs/registry.hpp"
 #include "obs/scrape.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace xgbe::core {
 
@@ -19,10 +18,9 @@ Host& Testbed::add_host_on(std::size_t shard, const std::string& name,
                            const TuningProfile& tuning,
                            const nic::AdapterSpec& adapter) {
   hosts_.push_back(std::make_unique<Host>(shard_sim(shard), system, tuning,
-                                          adapter, next_node(), name));
+                                          adapter, next_node(), name,
+                                          shard_obs(shard)));
   host_shards_.push_back(shard);
-  if (obs::TraceSink* sink = shard_trace(shard)) hosts_.back()->set_trace(sink);
-  if (spans_) hosts_.back()->set_span_profiler(spans_);
   return *hosts_.back();
 }
 
@@ -38,26 +36,19 @@ static std::size_t index_of(const std::vector<std::unique_ptr<Host>>& hosts,
 link::Link& Testbed::make_link(std::size_t shard_a, std::size_t shard_b,
                                const link::LinkSpec& spec, std::string name) {
   if (engine_) {
-    links_.push_back(std::make_unique<link::Link>(*engine_, shard_a, shard_b,
-                                                  spec, std::move(name)));
+    links_.push_back(std::make_unique<link::Link>(
+        *engine_, shard_a, shard_b, spec, std::move(name),
+        shard_obs(shard_a), shard_obs(shard_b)));
     // The lookahead is the minimum propagation anywhere in the topology —
     // computed over all links, which is always a safe (if conservative)
     // bound for the cross-shard subset.
     min_propagation_ = std::min(min_propagation_, spec.propagation);
     engine_->set_lookahead(min_propagation_);
   } else {
-    links_.push_back(
-        std::make_unique<link::Link>(sim_, spec, std::move(name)));
+    links_.push_back(std::make_unique<link::Link>(sim_, spec, std::move(name),
+                                                  shard_obs(0)));
   }
-  link::Link* wire = links_.back().get();
-  if (!shard_traces_.empty()) {
-    wire->set_trace(/*from_a=*/true, shard_traces_[shard_a]);
-    wire->set_trace(/*from_a=*/false, shard_traces_[shard_b]);
-  } else if (trace_) {
-    wire->set_trace(trace_);
-  }
-  if (spans_) wire->set_span_profiler(spans_);
-  return *wire;
+  return *links_.back();
 }
 
 link::Link& Testbed::connect(Host& a, Host& b, const link::LinkSpec& spec,
@@ -81,12 +72,9 @@ link::EthernetSwitch& Testbed::add_switch_on(std::size_t shard,
                                              const std::string& name) {
   switches_.push_back(std::make_unique<link::EthernetSwitch>(
       shard_sim(shard), spec,
-      name.empty() ? "switch" + std::to_string(switches_.size()) : name));
+      name.empty() ? "switch" + std::to_string(switches_.size()) : name,
+      shard_obs(shard)));
   switch_shards_.push_back(shard);
-  if (obs::TraceSink* sink = shard_trace(shard)) {
-    switches_.back()->set_trace(sink);
-  }
-  if (spans_) switches_.back()->set_span_profiler(spans_);
   return *switches_.back();
 }
 
@@ -202,23 +190,13 @@ bool Testbed::run_until_established(const Connection& conn,
 }
 
 void Testbed::set_trace_sink(obs::TraceSink* sink) {
-  trace_ = sink;
-  for (auto& host : hosts_) host->set_trace(sink);
-  for (auto& wire : links_) wire->set_trace(sink);
-  for (auto& sw : switches_) sw->set_trace(sink);
+  for (obs::Instruments& bundle : instruments_) bundle.trace = sink;
 }
 
 void Testbed::set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks) {
-  shard_traces_ = std::move(sinks);
-  if (shard_traces_.empty()) return;
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    hosts_[i]->set_trace(shard_traces_[host_shards_[i]]);
+  for (std::size_t i = 0; i < instruments_.size(); ++i) {
+    instruments_[i].trace = sinks.empty() ? nullptr : sinks.at(i);
   }
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    switches_[i]->set_trace(shard_traces_[switch_shards_[i]]);
-  }
-  // Existing links cannot be revisited per direction here (their shard
-  // placement is not stored); arm shard sinks before building the topology.
 }
 
 void Testbed::set_span_profiler(obs::SpanProfiler* spans) {
@@ -227,10 +205,7 @@ void Testbed::set_span_profiler(obs::SpanProfiler* spans) {
   // sharded testbed leaves it disarmed (classic runs are the profiling
   // path — same model, same code, one thread).
   if (engine_) return;
-  spans_ = spans;
-  for (auto& host : hosts_) host->set_span_profiler(spans);
-  for (auto& wire : links_) wire->set_span_profiler(spans);
-  for (auto& sw : switches_) sw->set_span_profiler(spans);
+  instruments_.front().spans = spans;
 }
 
 void Testbed::set_metric_scraper(obs::MetricScraper* scraper) {

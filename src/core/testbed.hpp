@@ -12,6 +12,7 @@
 #include "hw/presets.hpp"
 #include "link/link.hpp"
 #include "link/switch.hpp"
+#include "obs/instruments.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
@@ -25,14 +26,15 @@ namespace xgbe::core {
 
 class Testbed {
  public:
-  Testbed() = default;
+  Testbed() : instruments_(1) {}
 
   /// Sharded testbed: the topology is partitioned across `shards` event
   /// queues advanced by the parallel engine. Components placed on different
   /// shards may only talk through links (which is all the model ever does).
   /// Results are bit-identical for any shard count.
   explicit Testbed(std::size_t shards)
-      : engine_(std::make_unique<sim::ShardedEngine>(shards)) {}
+      : engine_(std::make_unique<sim::ShardedEngine>(shards)),
+        instruments_(engine_->shard_count()) {}
 
   bool sharded() const { return engine_ != nullptr; }
   sim::ShardedEngine& engine() { return *engine_; }
@@ -172,29 +174,31 @@ class Testbed {
   }
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink across the whole testbed: every existing host,
-  /// link, and switch, and everything created afterwards. Null disarms
-  /// them all the same way, so a sink can be disarmed before it goes
-  /// away. Classic mode only — a single sink shared across shards would
-  /// race; use set_shard_trace_sinks() in sharded mode.
+  // Every component reports into its shard's instrument bundle, handed to
+  // it when it was built. Arming stores into the bundles, so it reaches the
+  // components built before the call and after it alike.
+
+  /// Arms the trace sink across the whole testbed; null disarms it, so a
+  /// sink can be disarmed before it goes away. Classic mode only — a single
+  /// sink shared across shards would race; use set_shard_trace_sinks().
   void set_trace_sink(obs::TraceSink* sink);
-  obs::TraceSink* trace_sink() const { return trace_; }
+  obs::TraceSink* trace_sink() const { return instruments_.front().trace; }
 
   /// Sharded tracing: one sink per shard (size must equal the shard
-  /// count). Every component records into its own shard's sink, and each
-  /// link direction into its transmitter's — appends never cross threads.
-  /// Merge the sinks with obs::merge_sorted() for a partition-invariant
-  /// view. Arm before building the topology; existing components are
-  /// revisited like in classic mode.
+  /// count; empty disarms every shard). Every component records into its
+  /// own shard's sink, and each link direction into its transmitter's —
+  /// appends never cross threads. Merge the sinks with obs::merge_sorted()
+  /// for a partition-invariant view.
   void set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks);
 
-  /// Arms the span profiler across the whole testbed, same fan-out and
-  /// lifetime rules as set_trace_sink(): null disarms every existing
-  /// component. The profiler must outlive the testbed or be disarmed
-  /// (set to null or to another profiler) before it goes away. A sharded
-  /// testbed ignores the call and stays disarmed.
+  /// Arms the span profiler across the whole testbed; null disarms it. The
+  /// profiler must outlive the testbed or be disarmed (set to null or to
+  /// another profiler) before it goes away. A sharded testbed ignores the
+  /// call and stays disarmed.
   void set_span_profiler(obs::SpanProfiler* spans);
-  obs::SpanProfiler* span_profiler() const { return spans_; }
+  obs::SpanProfiler* span_profiler() const {
+    return instruments_.front().spans;
+  }
 
   /// Arms the flow sampler: every connection opened *after* this call gets
   /// a read-only probe of the client endpoint's cwnd/ssthresh/flight/
@@ -225,10 +229,9 @@ class Testbed {
   sim::Simulator& shard_sim(std::size_t shard) {
     return engine_ ? engine_->shard(shard) : sim_;
   }
-  /// Trace sink for components on `shard` (null when tracing is off).
-  obs::TraceSink* shard_trace(std::size_t shard) const {
-    if (!shard_traces_.empty()) return shard_traces_[shard];
-    return trace_;
+  /// Instrument bundle components on `shard` report into.
+  const obs::Instruments* shard_obs(std::size_t shard) const {
+    return &instruments_.at(engine_ ? shard : 0);
   }
   link::Link& make_link(std::size_t shard_a, std::size_t shard_b,
                         const link::LinkSpec& spec, std::string name);
@@ -240,6 +243,8 @@ class Testbed {
   // when destroyed, so that order is safe.
   sim::Simulator sim_;
   std::unique_ptr<sim::ShardedEngine> engine_;
+  // One per shard, sized once so the addresses components hold stay put.
+  std::vector<obs::Instruments> instruments_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<link::Link>> links_;
   std::vector<std::unique_ptr<link::EthernetSwitch>> switches_;
@@ -248,9 +253,6 @@ class Testbed {
   sim::SimTime min_propagation_ = std::numeric_limits<sim::SimTime>::max();
   net::NodeId node_counter_ = 1;
   net::FlowId flow_counter_ = 1;
-  obs::TraceSink* trace_ = nullptr;
-  std::vector<obs::TraceSink*> shard_traces_;
-  obs::SpanProfiler* spans_ = nullptr;
   obs::FlowSampler* sampler_ = nullptr;
   obs::MetricScraper* scraper_ = nullptr;
 };

@@ -23,23 +23,25 @@ constexpr std::uint64_t kReverseSeedMix = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace
 
-Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name)
+Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name,
+           const obs::Instruments* obs)
     : spec_(spec),
       name_(std::move(name)),
-      ab_(simulator, name_ + "/ab"),
-      ba_(simulator, name_ + "/ba"),
+      ab_(simulator, name_ + "/ab", obs),
+      ba_(simulator, name_ + "/ba", obs),
       script_(legacy_plan(spec)) {
   ab_.script = &script_;
   ba_.script = &script_;
 }
 
 Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
-           std::size_t shard_b, const LinkSpec& spec, std::string name)
+           std::size_t shard_b, const LinkSpec& spec, std::string name,
+           const obs::Instruments* obs_a, const obs::Instruments* obs_b)
     : spec_(spec),
       name_(std::move(name)),
       sharded_(true),
-      ab_(engine.shard(shard_a), name_ + "/ab"),
-      ba_(engine.shard(shard_b), name_ + "/ba"),
+      ab_(engine.shard(shard_a), name_ + "/ab", obs_a),
+      ba_(engine.shard(shard_b), name_ + "/ba", obs_b),
       script_(legacy_plan(spec)) {
   // The two directions run on different threads, so the legacy loss plan
   // splits into per-direction injectors with decorrelated seeds (mirroring
@@ -133,11 +135,8 @@ std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
   if (spec_.queue_limit_bytes != 0 &&
       backlog + pkt.frame_bytes > spec_.queue_limit_bytes) {
     ++dir.drops_queue;
-    if (dir.trace) {
-      dir.trace->record_packet(obs::EventType::kWireDrop, sim.now(), pkt,
-                               name_.c_str(), "queue-full");
-    }
-    if (spans_) spans_->abort(pkt);
+    dir.obs->drop(obs::EventType::kWireDrop, sim.now(), pkt, name_.c_str(),
+                  "queue-full");
     return std::nullopt;
   }
 
@@ -175,25 +174,18 @@ std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
   // One trace event per frame, emitted after the verdict so drops carry
   // their cause. The sink consumes no randomness, so emission position
   // cannot perturb the fault RNG sequence.
-  if (dir.trace) {
-    if (verdict.drop) {
-      dir.trace->record_packet(obs::EventType::kWireDrop, now, pkt,
-                               name_.c_str(), fault::cause_name(verdict.cause));
-    } else {
-      dir.trace->record_packet(obs::EventType::kWireTx, now, pkt,
-                               name_.c_str());
-    }
+  if (verdict.drop) {
+    dir.obs->drop(obs::EventType::kWireDrop, now, pkt, name_.c_str(),
+                  fault::cause_name(verdict.cause));
+    return done;
+  }
+  if (dir.obs->trace) {
+    dir.obs->trace->record_packet(obs::EventType::kWireTx, now, pkt,
+                                  name_.c_str());
   }
   // The wire stage opens here and accumulates per hop (pipe queueing +
   // serialization + propagation all land in it).
-  if (spans_ != nullptr) {
-    if (verdict.drop) {
-      spans_->abort(pkt);
-    } else {
-      spans_->mark(pkt, obs::Stage::kWire, now);
-    }
-  }
-  if (verdict.drop) return done;
+  if (dir.obs->spans) dir.obs->spans->mark(pkt, obs::Stage::kWire, now);
 
   if (sink != nullptr) {
     ++dir.frames;

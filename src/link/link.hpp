@@ -10,6 +10,7 @@
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "net/packet.hpp"
+#include "obs/instruments.hpp"
 #include "sim/block_fifo.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
@@ -18,8 +19,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::link {
@@ -80,18 +79,27 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///    (including same-shard ones, so results cannot depend on the partition)
 ///    are buffered in per-direction exchange channels that the engine
 ///    commits at window barriers. All mutable per-frame state (counters,
-///    backlog, fault RNG, trace sink) is per-direction, so the two shard
-///    workers never share a cache line they write.
+///    backlog, fault RNG) is per-direction, so the two shard workers never
+///    share a cache line they write.
+///
+/// Each direction reports into its transmitter's instrument bundle: every
+/// frame offered to the wire traces kWireTx when it serializes, or kWireDrop
+/// with the cause when it is lost.
 class Link {
  public:
-  Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name);
+  /// `obs` is the instrument bundle both directions report into.
+  Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name,
+       const obs::Instruments* obs = &obs::Instruments::none());
 
   /// Sharded-mode link between `shard_a` (the A side's shard) and `shard_b`.
   /// Registers one exchange channel per direction with the engine — link
   /// creation order therefore defines the cross-shard merge order and must
   /// be identical across runs (it is: topology construction is code).
+  /// `obs_a` is the a->b direction's bundle, `obs_b` the b->a one's.
   Link(sim::ShardedEngine& engine, std::size_t shard_a, std::size_t shard_b,
-       const LinkSpec& spec, std::string name);
+       const LinkSpec& spec, std::string name,
+       const obs::Instruments* obs_a = &obs::Instruments::none(),
+       const obs::Instruments* obs_b = &obs::Instruments::none());
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -195,28 +203,8 @@ class Link {
   /// sharded mode the two directions run on different threads.
   std::function<void(const net::Packet&, bool from_side_a)> tap;
 
-  // --- Observability --------------------------------------------------------
-  /// Arms (or disarms, with null) the trace sink on both directions. Every
-  /// frame offered to the wire emits exactly one event: kWireTx when it
-  /// serializes, or kWireDrop with the cause when it is lost.
-  void set_trace(obs::TraceSink* sink) {
-    ab_.trace = sink;
-    ba_.trace = sink;
-  }
-
-  /// Per-direction sink, for sharded mode: each direction records into its
-  /// transmitting shard's sink so appends never race.
-  void set_trace(bool from_a, obs::TraceSink* sink) {
-    (from_a ? ab_ : ba_).trace = sink;
-  }
-
   /// Registers this link's delivery and fault counters under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler: each frame that serializes marks the wire
-  /// stage; drops abort the journey. Null disarms (zero perturbation).
-  /// Classic mode only (the sharded testbed never arms it).
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
   /// A classic-mode frame on the wire: when it lands, the tie-break
@@ -235,8 +223,9 @@ class Link {
   };
 
   struct Direction {
-    Direction(sim::Simulator& simulator, const std::string& n)
-        : sim(&simulator), pipe(simulator, n) {}
+    Direction(sim::Simulator& simulator, const std::string& n,
+              const obs::Instruments* instruments)
+        : sim(&simulator), obs(instruments), pipe(simulator, n) {}
 
     /// Bytes whose completion mark is not reached yet. Drops the reached
     /// frames first, so it is exact at any read; the marks are reached in
@@ -251,6 +240,7 @@ class Link {
     }
 
     sim::Simulator* sim;  // the transmitter's shard
+    const obs::Instruments* obs;  // the transmitter's shard's bundle
     sim::Resource pipe;
     // Frames not known to be off the serializer, in transmit order, and
     // their bytes. Mutable: reading the backlog drops the reached ones.
@@ -265,7 +255,6 @@ class Link {
     // pre-fault-layer seeds bit-identical), `own_script` in sharded mode.
     fault::FaultInjector* script = nullptr;
     fault::FaultInjector own_script;
-    obs::TraceSink* trace = nullptr;
     bool use_channel = false;
     // Classic mode: frames on the wire in arrival order; only the head has
     // a pending event.
@@ -329,7 +318,6 @@ class Link {
   // Per-direction plans installed through set_fault_plan().
   fault::FaultInjector fault_ab_;
   fault::FaultInjector fault_ba_;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace xgbe::link

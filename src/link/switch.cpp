@@ -123,11 +123,13 @@ class EthernetSwitch::Port : public NetDevice {
 };
 
 EthernetSwitch::EthernetSwitch(sim::Simulator& simulator,
-                               const SwitchSpec& spec, std::string name)
+                               const SwitchSpec& spec, std::string name,
+                               const obs::Instruments* obs)
     : sim_(simulator),
       spec_(spec),
       name_(std::move(name)),
-      backplane_(simulator, name_ + "/backplane") {}
+      backplane_(simulator, name_ + "/backplane"),
+      obs_(obs) {}
 
 EthernetSwitch::~EthernetSwitch() = default;
 
@@ -202,12 +204,8 @@ void EthernetSwitch::on_frame(int /*ingress*/, const net::Packet& pkt) {
   if (fault_.active()) {
     verdict = fault_.decide(pkt, sim_.now());
     if (verdict.drop) {
-      if (trace_) {
-        trace_->record_packet(obs::EventType::kWireDrop, sim_.now(), pkt,
-                              name_.c_str(),
-                              fault::cause_name(verdict.cause));
-      }
-      if (spans_) spans_->abort(pkt);
+      obs_->drop(obs::EventType::kWireDrop, sim_.now(), pkt, name_.c_str(),
+                 fault::cause_name(verdict.cause));
       return;
     }
     if (verdict.corrupt) frame.corrupted = true;
@@ -215,18 +213,17 @@ void EthernetSwitch::on_frame(int /*ingress*/, const net::Packet& pkt) {
   const auto it = fdb_.find(frame.dst);
   if (it == fdb_.end() || it->second.ports.empty()) {
     ++dropped_no_route_;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kWireDrop, sim_.now(), pkt,
-                            name_.c_str(), "no-route");
-    }
-    if (spans_) spans_->abort(pkt);
+    obs_->drop(obs::EventType::kWireDrop, sim_.now(), pkt, name_.c_str(),
+               "no-route");
     return;
   }
   const int egress = pick_port(it->second, frame);
   // Frame fully arrived and routed: the first wire hop ends, time in the
   // fabric + egress queue belongs to switch-queue (until the egress link's
   // transmit re-enters wire).
-  if (spans_) spans_->mark(frame, obs::Stage::kSwitchQueue, sim_.now());
+  if (obs_->spans) {
+    obs_->spans->mark(frame, obs::Stage::kSwitchQueue, sim_.now());
+  }
   // The fabric moves the frame to the egress queue; model its bandwidth as
   // a shared serialized resource plus fixed pipeline latency.
   const sim::SimTime fabric_time =
@@ -258,11 +255,8 @@ void EthernetSwitch::egress_frame(int port, const net::Packet& pkt) {
       case Port::AqmVerdict::kEarlyDrop:
         ++dropped_red_;
         out.note_red_drop();
-        if (trace_) {
-          trace_->record_packet(obs::EventType::kWireDrop, sim_.now(), pkt,
-                                name_.c_str(), "red-early-drop");
-        }
-        if (spans_) spans_->abort(pkt);
+        obs_->drop(obs::EventType::kWireDrop, sim_.now(), pkt, name_.c_str(),
+                   "red-early-drop");
         return;
     }
   }
@@ -270,11 +264,8 @@ void EthernetSwitch::egress_frame(int port, const net::Packet& pkt) {
       out.buffer_limit(spec_.port_buffer_bytes)) {
     ++dropped_queue_full_;  // tail drop
     out.note_tail_drop();
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kWireDrop, sim_.now(), pkt,
-                            name_.c_str(), "port-buffer-full");
-    }
-    if (spans_) spans_->abort(pkt);
+    obs_->drop(obs::EventType::kWireDrop, sim_.now(), pkt, name_.c_str(),
+               "port-buffer-full");
     return;
   }
   ++forwarded_;

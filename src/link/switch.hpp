@@ -10,6 +10,7 @@
 #include "fault/fault.hpp"
 #include "link/device.hpp"
 #include "link/link.hpp"
+#include "obs/instruments.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
@@ -77,8 +78,11 @@ struct SwitchSpec {
 /// shard partitioning or thread scheduling.
 class EthernetSwitch {
  public:
+  /// `obs` is the bundle of the switch's shard: drops report kWireDrop with
+  /// this switch's name, ingress marks the switch-queue stage.
   EthernetSwitch(sim::Simulator& simulator, const SwitchSpec& spec,
-                 std::string name);
+                 std::string name,
+                 const obs::Instruments* obs = &obs::Instruments::none());
   ~EthernetSwitch();
 
   EthernetSwitch(const EthernetSwitch&) = delete;
@@ -130,18 +134,9 @@ class EthernetSwitch {
     return fault_.counters();
   }
 
-  // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: fabric fault drops, no-route drops, and egress
-  /// tail drops emit kWireDrop events annotated with this switch's name.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-
   /// Registers forwarding and fault counters under `prefix`; when
   /// spec().port_metrics is set, also per-port counters and queue gauges.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler: ingress marks the switch-queue stage (the
-  /// egress link's transmit then re-marks wire); drops abort the journey.
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
   class Port;
@@ -165,8 +160,7 @@ class EthernetSwitch {
   std::uint64_t dropped_queue_full_ = 0;
   std::uint64_t dropped_red_ = 0;
   std::uint64_t ce_marked_ = 0;
-  obs::TraceSink* trace_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
+  const obs::Instruments* obs_;
 };
 
 }  // namespace xgbe::link

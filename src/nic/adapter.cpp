@@ -25,7 +25,8 @@ AdapterSpec intel_e1000() {
 
 Adapter::Adapter(sim::Simulator& simulator, const AdapterSpec& spec,
                  const hw::PcixSpec& bus, const hw::MemorySpec& mem,
-                 std::uint32_t mmrbc, sim::Resource& membus, std::string name)
+                 std::uint32_t mmrbc, sim::Resource& membus, std::string name,
+                 const obs::Instruments* obs, net::NodeId node)
     : sim_(simulator),
       spec_(spec),
       name_(std::move(name)),
@@ -34,24 +35,22 @@ Adapter::Adapter(sim::Simulator& simulator, const AdapterSpec& spec,
       mmrbc_(mmrbc),
       pci_(simulator, name_ + "/pcix"),
       membus_(membus),
-      corruption_rng_(spec.corruption_seed) {}
+      corruption_rng_(spec.corruption_seed),
+      obs_(obs),
+      node_(node) {}
 
-namespace {
-
-obs::TraceEvent ring_event(obs::EventType type, sim::SimTime at,
-                           net::NodeId node, std::uint32_t slots,
-                           const char* where, const char* detail) {
+void Adapter::trace_ring(obs::EventType type, std::uint32_t slots,
+                         const char* ring) {
+  if (!obs_->trace) return;
   obs::TraceEvent ev;
-  ev.at = at;
+  ev.at = sim_.now();
   ev.type = type;
-  ev.src = node;
+  ev.src = node_;
   ev.len = slots;
-  ev.where = where;
-  ev.detail = detail;
-  return ev;
+  ev.where = name_.c_str();
+  ev.detail = ring;
+  obs_->trace->record(ev);
 }
-
-}  // namespace
 
 void Adapter::connect(link::Link* wire, bool side_a) {
   wire_ = wire;
@@ -82,12 +81,8 @@ void Adapter::dma_next_tx() {
   if (host_faults_active() && host_faults_->tx_ring_stalled(sim_.now())) {
     tx_dma_active_ = false;
     host_faults_->count_tx_stall();
-    if (trace_) {
-      trace_->record(ring_event(
-          obs::EventType::kRingStall, sim_.now(), trace_node_,
-          static_cast<std::uint32_t>(tx_queue_.size()), name_.c_str(),
-          "tx-ring"));
-    }
+    trace_ring(obs::EventType::kRingStall,
+               static_cast<std::uint32_t>(tx_queue_.size()), "tx-ring");
     arm_tx_stall_recovery();
     arm_tx_wake();
     return;
@@ -102,7 +97,7 @@ void Adapter::dma_next_tx() {
   net::Packet pkt = tx_queue_.front();
   tx_queue_.pop_front();
   // Descriptor posted and the DMA engine picked it up: tx-ring ends here.
-  if (spans_) spans_->mark(pkt, obs::Stage::kTxDma, sim_.now());
+  if (obs_->spans) obs_->spans->mark(pkt, obs::Stage::kTxDma, sim_.now());
 
   const sim::SimTime bus_time =
       (spec_.on_mch
@@ -209,17 +204,14 @@ void Adapter::receive_frame(const net::Packet& arrived) {
     if (host_faults_active() && rx_ring_unreplenished_ > 0) {
       host_faults_->count_ring_stall_drop();
     }
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), arrived,
-                            name_.c_str(), "rx-ring-full");
-    }
-    if (spans_) spans_->abort(arrived);
+    obs_->drop(obs::EventType::kSegDrop, sim_.now(), arrived, name_.c_str(),
+               "rx-ring-full");
     return;
   }
   ++rx_ring_used_;
   net::Packet pkt = arrived;
   // Last bit off the wire, frame in a ring buffer: wire stage ends here.
-  if (spans_) spans_->mark(pkt, obs::Stage::kRxRing, sim_.now());
+  if (obs_->spans) obs_->spans->mark(pkt, obs::Stage::kRxRing, sim_.now());
   const sim::SimTime bus_time =
       (spec_.on_mch
            ? hw::bus_time(mem_spec_, pkt.frame_bytes, 1) + sim::nsec(100)
@@ -229,7 +221,9 @@ void Adapter::receive_frame(const net::Packet& arrived) {
   membus_.submit(hw::bus_time(mem_spec_, pkt.frame_bytes, 1));
   pci_.submit(bus_time, [this, pkt]() mutable {
     // RX DMA write landed in host memory; the interrupt hold-off begins.
-    if (spans_) spans_->mark(pkt, obs::Stage::kIntrCoalesce, sim_.now());
+    if (obs_->spans) {
+      obs_->spans->mark(pkt, obs::Stage::kIntrCoalesce, sim_.now());
+    }
     if (spec_.rx_corruption_rate > 0.0 && pkt.payload_bytes > 0 &&
         corruption_rng_.chance(spec_.rx_corruption_rate)) {
       pkt.corrupted = true;  // damaged after the adapter's checksum check
@@ -281,18 +275,16 @@ void Adapter::raise_interrupt() {
   const auto batch_slots = static_cast<std::uint32_t>(rx_batch_.size());
   if (host_faults_active() && host_faults_->rx_ring_stalled(sim_.now())) {
     rx_ring_unreplenished_ += batch_slots;
-    if (trace_) {
-      trace_->record(ring_event(obs::EventType::kRingStall, sim_.now(),
-                                trace_node_, batch_slots, name_.c_str(),
-                                "rx-ring"));
-    }
+    trace_ring(obs::EventType::kRingStall, batch_slots, "rx-ring");
     arm_rx_replenish_recovery();
   } else {
     rx_ring_used_ -= batch_slots;
   }
-  for (const net::Packet& p : rx_batch_) {
+  if (obs_->spans) {
     // Interrupt asserted: hold-off ends, the kernel rx path starts.
-    if (spans_) spans_->mark(p, obs::Stage::kRxStack, sim_.now());
+    for (const net::Packet& p : rx_batch_) {
+      obs_->spans->mark(p, obs::Stage::kRxStack, sim_.now());
+    }
   }
   if (rx_handler_) rx_handler_(rx_batch_);
   rx_batch_.clear();
@@ -337,11 +329,7 @@ void Adapter::arm_rx_replenish_recovery() {
         std::min(rx_ring_used_, rx_ring_unreplenished_);
     rx_ring_used_ -= refilled;
     rx_ring_unreplenished_ = 0;
-    if (trace_) {
-      trace_->record(ring_event(obs::EventType::kRingRefill, sim_.now(),
-                                trace_node_, refilled, name_.c_str(),
-                                "rx-ring"));
-    }
+    trace_ring(obs::EventType::kRingRefill, refilled, "rx-ring");
   });
 }
 

@@ -16,13 +16,12 @@
 #include "sim/block_fifo.hpp"
 #include "sim/random.hpp"
 #include "net/packet.hpp"
+#include "obs/instruments.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::nic {
@@ -68,9 +67,13 @@ class Adapter : public link::NetDevice {
   /// vector for its next interrupt, so the handler copies what it keeps.
   using RxHandler = std::function<void(const std::vector<net::Packet>&)>;
 
+  /// `obs` is the host's instrument bundle: ring-full drops and ring
+  /// stalls/refills report into it, tagged with the host's `node`.
   Adapter(sim::Simulator& simulator, const AdapterSpec& spec,
           const hw::PcixSpec& bus, const hw::MemorySpec& mem,
-          std::uint32_t mmrbc, sim::Resource& membus, std::string name);
+          std::uint32_t mmrbc, sim::Resource& membus, std::string name,
+          const obs::Instruments* obs = &obs::Instruments::none(),
+          net::NodeId node = net::kInvalidNode);
 
   Adapter(const Adapter&) = delete;
   Adapter& operator=(const Adapter&) = delete;
@@ -124,22 +127,9 @@ class Adapter : public link::NetDevice {
     host_faults_ = injector;
   }
 
-  // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: ring-full drops emit kSegDrop ("rx-ring-full"),
-  /// replenish stalls emit kRingStall/kRingRefill. `node` identifies this
-  /// adapter's host in the events.
-  void set_trace(obs::TraceSink* sink, net::NodeId node) {
-    trace_ = sink;
-    trace_node_ = node;
-  }
-
   /// Registers frame/interrupt counters and the rx fault tally under
   /// `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler: stamps tx-dma start, rx-ring arrival, RX DMA
-  /// completion, and interrupt delivery. Null disarms (zero perturbation).
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
  private:
   void receive_frame(const net::Packet& arrived);
@@ -156,6 +146,8 @@ class Adapter : public link::NetDevice {
   /// is pending.
   void arm_tx_wake();
   void emit_wire_frames(const net::Packet& pkt);
+  /// Traces a descriptor-ring event on `ring` covering `slots` slots.
+  void trace_ring(obs::EventType type, std::uint32_t slots, const char* ring);
   void try_raise_interrupt();
   void raise_interrupt();
   bool host_faults_active() const {
@@ -215,9 +207,8 @@ class Adapter : public link::NetDevice {
   std::uint64_t rx_dropped_ring_ = 0;
   std::uint64_t interrupts_ = 0;
 
-  obs::TraceSink* trace_ = nullptr;
-  net::NodeId trace_node_ = net::kInvalidNode;
-  obs::SpanProfiler* spans_ = nullptr;
+  const obs::Instruments* obs_;
+  net::NodeId node_;
 };
 
 }  // namespace xgbe::nic

@@ -7,8 +7,9 @@
 //   app-write -> sockbuf -> tx-ring -> tx-dma -> wire -> switch-queue
 //             -> rx-ring -> intr-coalesce -> rx-stack -> app-read
 //
-// Stamps come from the same choke points that feed obs::TraceSink and obey
-// the same zero-perturbation contract: every hook is null-pointer-gated, the
+// Stamps come from the same choke points that feed obs::TraceSink, through
+// the same obs::Instruments bundle, and obey the same zero-perturbation
+// contract: every hook is gated on the bundle's `spans` pointer, the
 // profiler draws no random numbers and schedules no events, so an armed run
 // is bit-identical to an unarmed one (asserted by test).
 //
@@ -98,9 +99,9 @@ std::string format_breakdown_table(const SpanBreakdown& b,
 /// shortest-round-trip doubles for the derived means).
 std::string breakdown_json(const SpanBreakdown& b);
 
-/// Follows individual data segments through the pipeline. Armed via the
-/// set_span_profiler() fan-out on core::Testbed / core::Host; every model
-/// hook is a no-op when the component's pointer is null.
+/// Follows individual data segments through the pipeline. Armed with
+/// core::Testbed::set_span_profiler(), which stores it in the testbed's
+/// instrument bundle; every model hook is a no-op while that is null.
 class SpanProfiler {
  public:
   explicit SpanProfiler(double hist_max_us = 100.0,

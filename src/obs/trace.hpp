@@ -3,11 +3,11 @@
 // A TraceSink is a ring-buffer flight recorder (plus an optional full JSONL
 // stream) fed from the same choke points tcpdump and MAGNET already tap:
 // segment tx/rx/drop, RTO and fast retransmit, window updates, descriptor-
-// ring stalls and refills, and fault-injection decisions. Components hold a
-// plain `obs::TraceSink*` that defaults to null; every emission site is
-// gated on that pointer, consumes no randomness, and schedules no events,
-// so an unarmed trace leaves the simulation bit-identical to a build with
-// no trace at all.
+// ring stalls and refills, and fault-injection decisions. Components reach
+// it through their shard's obs::Instruments bundle, whose `trace` pointer
+// defaults to null; every emission site is gated on that pointer, consumes
+// no randomness, and schedules no events, so an unarmed trace leaves the
+// simulation bit-identical to a build with no trace at all.
 #pragma once
 
 #include <cstdint>

@@ -4,19 +4,19 @@
 
 #include "hw/memory.hpp"
 #include "obs/registry.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "os/kmalloc.hpp"
 
 namespace xgbe::os {
 
 Kernel::Kernel(sim::Simulator& simulator, const hw::SystemSpec& spec,
-               const KernelConfig& config)
+               const KernelConfig& config, const obs::Instruments* obs)
     : sim_(simulator),
       spec_(spec),
       config_(config),
       costs_(KernelCosts::scaled_for(spec)),
-      membus_(simulator, spec.name + "/membus") {
+      membus_(simulator, spec.name + "/membus"),
+      obs_(obs) {
   const int ncpus =
       config_.mode == KernelMode::kUniprocessor ? 1 : spec_.cpu_count;
   cpus_.reserve(static_cast<std::size_t>(ncpus));
@@ -54,14 +54,12 @@ void Kernel::app_write(std::uint64_t payload_bytes, int nsegs,
   if (host_faults_active()) {
     // A descheduled writer cannot enter the kernel until it runs again.
     const sim::SimTime resume = host_faults_->sched_resume_at(sim_.now());
+    auto retry = [this, payload_bytes, nsegs, seg_block_bytes]() {
+      app_write(payload_bytes, nsegs, seg_block_bytes, unpark());
+    };
     if (resume > sim_.now()) {
       host_faults_->count_sched_defer();
-      sim_.schedule(resume - sim_.now(),
-                    [this, payload_bytes, nsegs, seg_block_bytes,
-                     done = std::move(done)]() mutable {
-                      app_write(payload_bytes, nsegs, seg_block_bytes,
-                                std::move(done));
-                    });
+      defer(resume, std::move(done), retry);
       return;
     }
     // kmalloc under pressure: -ENOBUFS, the blocked writer backs off and
@@ -69,12 +67,8 @@ void Kernel::app_write(std::uint64_t payload_bytes, int nsegs,
     const std::uint32_t block =
         config_.header_splitting ? 256u : seg_block_bytes;
     if (host_faults_->alloc_fails(block, /*rx=*/false)) {
-      sim_.schedule(host_faults_->plan().alloc_retry_backoff,
-                    [this, payload_bytes, nsegs, seg_block_bytes,
-                     done = std::move(done)]() mutable {
-                      app_write(payload_bytes, nsegs, seg_block_bytes,
-                                std::move(done));
-                    });
+      defer(sim_.now() + host_faults_->plan().alloc_retry_backoff,
+            std::move(done), retry);
       return;
     }
   }
@@ -176,11 +170,8 @@ void Kernel::rx_interrupt(const std::vector<net::Packet>& pkts,
       if (host_faults_->alloc_fails(block, /*rx=*/true)) {
         irq_cpu().submit(static_cast<sim::SimTime>(
             static_cast<double>(costs_.alloc_cost(block)) * mode_factor()));
-        if (trace_) {
-          trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
-                                "kernel", "alloc-fail");
-        }
-        if (spans_) spans_->abort(pkt);
+        obs_->drop(obs::EventType::kSegDrop, sim_.now(), pkt, "kernel",
+                   "alloc-fail");
         continue;
       }
     }
@@ -202,11 +193,7 @@ void Kernel::rx_interrupt(const std::vector<net::Packet>& pkts,
     if (!csum_offloaded && pkt.corrupted) {
       ++csum_drops_;
       irq_cpu().submit(cost);  // the verify work is still spent
-      if (trace_) {
-        trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt,
-                              "kernel", "csum");
-      }
-      if (spans_) spans_->abort(pkt);
+      obs_->drop(obs::EventType::kSegDrop, sim_.now(), pkt, "kernel", "csum");
       continue;
     }
     irq_cpu().submit(cost, [this, pkt]() {
@@ -223,10 +210,9 @@ void Kernel::app_read(std::uint64_t payload_bytes, Done done) {
     const sim::SimTime resume = host_faults_->sched_resume_at(sim_.now());
     if (resume > sim_.now()) {
       host_faults_->count_sched_defer();
-      sim_.schedule(resume - sim_.now(),
-                    [this, payload_bytes, done = std::move(done)]() mutable {
-                      app_read(payload_bytes, std::move(done));
-                    });
+      defer(resume, std::move(done), [this, payload_bytes]() {
+        app_read(payload_bytes, unpark());
+      });
       return;
     }
   }
@@ -259,6 +245,23 @@ void Kernel::app_read(std::uint64_t payload_bytes, Done done) {
 Kernel::Done Kernel::next_woken_read() {
   Done done = std::move(woken_reads_.front());
   woken_reads_.pop_front();
+  return done;
+}
+
+void Kernel::defer(sim::SimTime due, Done done, Done retry) {
+  parked_.push_back(Parked{due, std::move(done)});
+  sim_.schedule_at(due, std::move(retry));
+}
+
+Kernel::Done Kernel::unpark() {
+  // Entries due earlier were taken by retries that fired earlier; an entry
+  // whose due time was clamped to its deferral time counts as due by it.
+  const auto it =
+      std::find_if(parked_.begin(), parked_.end(), [this](const Parked& p) {
+        return p.due <= sim_.now();
+      });
+  Done done = std::move(it->done);
+  parked_.erase(it);
   return done;
 }
 

@@ -10,6 +10,7 @@
 #include "fault/host_fault.hpp"
 #include "hw/system.hpp"
 #include "net/packet.hpp"
+#include "obs/instruments.hpp"
 #include "os/config.hpp"
 #include "os/costs.hpp"
 #include "sim/block_fifo.hpp"
@@ -18,8 +19,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::os {
@@ -42,8 +41,11 @@ class Kernel {
   using Done = sim::InlineCallback;
   using Deliver = std::function<void(const net::Packet&)>;
 
+  /// `obs` is the host's instrument bundle: receive-path discards (failed
+  /// skb allocation, software-checksum rejection) report into it.
   Kernel(sim::Simulator& simulator, const hw::SystemSpec& spec,
-         const KernelConfig& config);
+         const KernelConfig& config,
+         const obs::Instruments* obs = &obs::Instruments::none());
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -101,20 +103,8 @@ class Kernel {
   const KernelConfig& config() const { return config_; }
   const hw::SystemSpec& system() const { return spec_; }
 
-  // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: receive-path frame discards (failed skb
-  /// allocation, software-checksum rejection) emit kSegDrop events tagged
-  /// with this host's node id.
-  void set_trace(obs::TraceSink* sink, net::NodeId node) {
-    trace_ = sink;
-    trace_node_ = node;
-  }
-
   /// Registers checksum-drop and CPU-load probes under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
-
-  /// Arms the span profiler so receive-path discards abort their journeys.
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
 
   /// Schedules `done` when both a CPU job and a memory-bus job complete;
   /// models a memcpy occupying core and bus simultaneously.
@@ -130,6 +120,10 @@ class Kernel {
   }
   /// Pops the oldest waiting app_read continuation (its wakeup fired).
   Done next_woken_read();
+  /// Host-fault deferral: parks `done` and schedules `retry` at `due`;
+  /// the retry takes `done` back with unpark().
+  void defer(sim::SimTime due, Done done, Done retry);
+  Done unpark();
 
   sim::Simulator& sim_;
   hw::SystemSpec spec_;
@@ -143,11 +137,19 @@ class Kernel {
   // wakeup event cannot carry its Done: an InlineCallback holding another
   // never fits the inline buffer.
   sim::BlockFifo<Done> woken_reads_;
+  // Continuations of calls a host fault deferred, with the time their retry
+  // fires, in park order; the retry carries only the sizes. Not a FIFO:
+  // pause ends are not monotone in the call time when windows overlap out
+  // of order. Retries due at one time fire in park order, so a retry's
+  // entry is the first one due by now.
+  struct Parked {
+    sim::SimTime due = 0;
+    Done done;
+  };
+  std::vector<Parked> parked_;
   std::uint64_t csum_drops_ = 0;
   fault::HostFaultInjector* host_faults_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
-  net::NodeId trace_node_ = net::kInvalidNode;
-  obs::SpanProfiler* spans_ = nullptr;
+  const obs::Instruments* obs_;
 };
 
 }  // namespace xgbe::os

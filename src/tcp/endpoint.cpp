@@ -1,7 +1,6 @@
 #include "tcp/endpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cassert>
 
 #include "net/headers.hpp"
@@ -142,9 +141,9 @@ void Endpoint::send_rst(net::Seq seq) {
   pkt.tcp.flags.ack = true;
   pkt.tcp.ack = reasm_.rcv_nxt();
   ++stats_.rsts_sent;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kRst, sim_.now(), pkt, "tcp",
-                          "abort");
+  if (hooks_.obs->trace) {
+    hooks_.obs->trace->record_packet(obs::EventType::kRst, sim_.now(), pkt,
+                                     "tcp", "abort");
   }
   hooks_.emit(pkt);
 }
@@ -163,9 +162,9 @@ void Endpoint::send_rst_for(const net::Packet& in) {
                   (in.tcp.flags.syn ? 1 : 0) + (in.tcp.flags.fin ? 1 : 0);
   }
   ++stats_.rsts_sent;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kRst, sim_.now(), pkt, "tcp",
-                          "no-connection");
+  if (hooks_.obs->trace) {
+    hooks_.obs->trace->record_packet(obs::EventType::kRst, sim_.now(), pkt,
+                                     "tcp", "no-connection");
   }
   hooks_.emit(pkt);
 }
@@ -458,7 +457,7 @@ void Endpoint::admit_pending_writes() {
     if (state_ == TcpState::kClosed || pending_writes_.empty()) return;
     PendingWrite w = std::move(pending_writes_.front());
     pending_writes_.pop_front();
-    if (spans_ != nullptr) {
+    if (hooks_.obs->spans) {
       write_spans_.push_back(WriteSpan{write_cursor_, write_cursor_ + bytes,
                                        w.called_at, sim_.now()});
     }
@@ -599,15 +598,16 @@ void Endpoint::send_segment(TxSegment& seg, bool retransmission) {
     ++stats_.retransmits;
   }
   stats_.segments_sent += seg.packets;
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kSegTx, sim_.now(), pkt, "tcp",
-                          retransmission ? "retransmission" : "");
+  if (hooks_.obs->trace) {
+    hooks_.obs->trace->record_packet(obs::EventType::kSegTx, sim_.now(), pkt,
+                                     "tcp",
+                                     retransmission ? "retransmission" : "");
   }
-  if (spans_ != nullptr && seg.len > 0) {
+  if (hooks_.obs->spans && seg.len > 0) {
     if (retransmission) {
       // A retransmitted segment no longer measures the clean path; drop its
       // journey (counted as aborted) rather than pollute the breakdown.
-      spans_->abort(pkt);
+      hooks_.obs->spans->abort(pkt);
     } else {
       // Locate the application write whose bytes this segment carries; its
       // call/admit times bound the app-write stage. Writes fully behind
@@ -619,7 +619,7 @@ void Endpoint::send_segment(TxSegment& seg, bool retransmission) {
       if (!write_spans_.empty() &&
           net::seq_le(write_spans_.front().begin_seq, seg.seq)) {
         const WriteSpan& ws = write_spans_.front();
-        spans_->begin(pkt, ws.called_at, ws.done_at, sim_.now());
+        hooks_.obs->spans->begin(pkt, ws.called_at, ws.done_at, sim_.now());
       }
     }
   }
@@ -673,23 +673,26 @@ void Endpoint::on_rto() {
     return;
   }
   ++stats_.timeouts;
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.at = sim_.now();
-    ev.type = obs::EventType::kRto;
-    ev.src = hooks_.local_node;
-    ev.dst = hooks_.remote_node;
-    ev.flow = hooks_.flow;
-    ev.seq = snd_una_;
-    ev.len = flight_bytes();
-    ev.where = "tcp";
-    trace_->record(ev);
-  }
+  trace_recovery(obs::EventType::kRto);
   cc_->on_timeout(flight_pkts_);
   rtt_.backoff();
   dupacks_ = 0;
   retransmit_head();
   if (!rto_armed_) arm_rto();
+}
+
+void Endpoint::trace_recovery(obs::EventType type) {
+  if (!hooks_.obs->trace) return;
+  obs::TraceEvent ev;
+  ev.at = sim_.now();
+  ev.type = type;
+  ev.src = hooks_.local_node;
+  ev.dst = hooks_.remote_node;
+  ev.flow = hooks_.flow;
+  ev.seq = snd_una_;
+  ev.len = flight_bytes();
+  ev.where = "tcp";
+  hooks_.obs->trace->record(ev);
 }
 
 void Endpoint::notify_if_drained() {
@@ -816,18 +819,7 @@ void Endpoint::handle_ack(const net::Packet& pkt) {
       try_send();
     } else if (dupacks_ == 3) {
       ++stats_.fast_retransmits;
-      if (trace_) {
-        obs::TraceEvent ev;
-        ev.at = sim_.now();
-        ev.type = obs::EventType::kFastRetransmit;
-        ev.src = hooks_.local_node;
-        ev.dst = hooks_.remote_node;
-        ev.flow = hooks_.flow;
-        ev.seq = snd_una_;
-        ev.len = flight_bytes();
-        ev.where = "tcp";
-        trace_->record(ev);
-      }
+      trace_recovery(obs::EventType::kFastRetransmit);
       recover_ = snd_nxt_;
       cc_->on_fast_retransmit(flight_pkts_);
       retransmit_head();
@@ -859,11 +851,6 @@ std::uint32_t Endpoint::compute_window() {
 }
 
 void Endpoint::handle_data(const net::Packet& pkt) {
-#ifdef XGBE_TRACE_ACKS
-  std::fprintf(stderr, "[%lld] node%u data seq=%u len=%u\n",
-               (long long)sim_.now(), hooks_.local_node, pkt.tcp.seq,
-               pkt.payload_bytes);
-#endif
   ++stats_.segments_received;
   if (ts_on_ && pkt.tcp.timestamps) last_ts_val_ = pkt.tcp.ts_val;
 
@@ -872,11 +859,8 @@ void Endpoint::handle_data(const net::Packet& pkt) {
   if (wadv_.has_advertised() &&
       net::seq_ge(pkt.tcp.seq, wadv_.rcv_adv())) {
     ++stats_.out_of_window;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt, "tcp",
-                            "out-of-window");
-    }
-    if (spans_) spans_->abort(pkt);
+    hooks_.obs->drop(obs::EventType::kSegDrop, sim_.now(), pkt, "tcp",
+                     "out-of-window");
     send_ack(false);
     return;
   }
@@ -887,11 +871,8 @@ void Endpoint::handle_data(const net::Packet& pkt) {
   }
   if (!rxbuf_.charge_frame(pkt.frame_bytes, pkt.payload_bytes)) {
     ++stats_.rcv_buffer_drops;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kSegDrop, sim_.now(), pkt, "tcp",
-                            "sockbuf-full");
-    }
-    if (spans_) spans_->abort(pkt);
+    hooks_.obs->drop(obs::EventType::kSegDrop, sim_.now(), pkt, "tcp",
+                     "sockbuf-full");
     send_ack(false);  // re-advertise the (closed) window
     return;
   }
@@ -912,12 +893,15 @@ void Endpoint::handle_data(const net::Packet& pkt) {
       if (pkt.ce) ece_pending_ = true;
     }
   }
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kSegRx, sim_.now(), pkt, "tcp");
+  if (hooks_.obs->trace) {
+    hooks_.obs->trace->record_packet(obs::EventType::kSegRx, sim_.now(), pkt,
+                                     "tcp");
   }
   // TCP accepted the segment: the rx-stack stage ends here and the journey
   // waits in app-read (reassembly + reader wakeup + copy) until consumed.
-  if (spans_) spans_->mark(pkt, obs::Stage::kAppRead, sim_.now());
+  if (hooks_.obs->spans) {
+    hooks_.obs->spans->mark(pkt, obs::Stage::kAppRead, sim_.now());
+  }
   // Linux tcp_measure_rcv_mss: track the largest segment recently seen.
   rcv_mss_est_ = std::max(rcv_mss_est_, pkt.payload_bytes);
 
@@ -955,11 +939,6 @@ bool Endpoint::echo_ece() const {
 }
 
 void Endpoint::send_ack(bool window_update) {
-#ifdef XGBE_TRACE_ACKS
-  std::fprintf(stderr, "[%lld] node%u send_ack wu=%d ack=%u win=%u count=%u\n",
-               (long long)sim_.now(), hooks_.local_node, (int)window_update,
-               reasm_.rcv_nxt(), last_adv_win_, delack_count_);
-#endif
   delack_count_ = 0;
   if (delack_armed_) {
     sim_.cancel(delack_timer_);
@@ -976,9 +955,9 @@ void Endpoint::send_ack(bool window_update) {
   ++stats_.acks_sent;
   if (window_update) {
     ++stats_.window_update_acks;
-    if (trace_) {
-      trace_->record_packet(obs::EventType::kWindowUpdate, sim_.now(), pkt,
-                            "tcp");
+    if (hooks_.obs->trace) {
+      hooks_.obs->trace->record_packet(obs::EventType::kWindowUpdate,
+                                       sim_.now(), pkt, "tcp");
     }
   }
   hooks_.emit(pkt);
@@ -998,9 +977,9 @@ void Endpoint::maybe_read() {
     // Close journeys before on_consumed: a ping-pong app replies inside
     // that callback at this same instant, and the reply's journey must not
     // observe an unfinished inbound one.
-    if (spans_ != nullptr) {
-      spans_->finish_consumed(hooks_.flow, hooks_.remote_node,
-                              rcv_consumed_seq_, sim_.now());
+    if (hooks_.obs->spans) {
+      hooks_.obs->spans->finish_consumed(hooks_.flow, hooks_.remote_node,
+                                         rcv_consumed_seq_, sim_.now());
     }
     if (on_consumed) on_consumed(chunk);
     maybe_window_update();

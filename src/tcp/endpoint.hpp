@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "net/packet.hpp"
+#include "obs/instruments.hpp"
 #include "os/kernel.hpp"
 #include "os/sockbuf.hpp"
 #include "sim/simulator.hpp"
@@ -24,8 +25,6 @@
 
 namespace xgbe::obs {
 class Registry;
-class SpanProfiler;
-class TraceSink;
 }
 
 namespace xgbe::tcp {
@@ -97,13 +96,16 @@ class Endpoint {
   using EmitFn = std::function<void(const net::Packet&)>;
 
   /// Host bindings: the kernel charges path costs, `emit` hands a built
-  /// segment to the kernel TX path + adapter.
+  /// segment to the kernel TX path + adapter, and `obs` is the host's
+  /// instrument bundle (span journeys open when a data segment leaves the
+  /// TCP layer and close when the peer application consumes the bytes).
   struct Hooks {
     os::Kernel* kernel = nullptr;
     EmitFn emit;
     net::NodeId local_node = 0;
     net::NodeId remote_node = 0;
     net::FlowId flow = 0;
+    const obs::Instruments* obs = &obs::Instruments::none();
   };
 
   Endpoint(sim::Simulator& simulator, const EndpointConfig& config,
@@ -158,16 +160,6 @@ class Endpoint {
   std::function<void(sim::SimTime, std::uint32_t)> cwnd_trace;
 
   // --- Observability --------------------------------------------------------
-  /// Arms the trace sink: segment tx/rx/drop, RTO, fast retransmit, and
-  /// window-update events. Null disarms; an unarmed endpoint behaves
-  /// bit-identically to one built without tracing.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-
-  /// Arms the span profiler: journeys open when a data segment leaves the
-  /// TCP layer and close when the peer application consumes the bytes.
-  /// Null disarms; same zero-perturbation contract as set_trace().
-  void set_span_profiler(obs::SpanProfiler* spans) { spans_ = spans; }
-
   /// Registers every EndpointStats counter plus cwnd/flight/srtt gauges
   /// under `prefix` (e.g. "host/tx/tcp/flow1").
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
@@ -288,6 +280,8 @@ class Endpoint {
   void arm_rto();
   void cancel_rto();
   void on_rto();
+  /// Traces a loss-recovery edge (RTO, fast retransmit) at snd_una.
+  void trace_recovery(obs::EventType type);
   void handle_ack(const net::Packet& pkt);
   void notify_if_drained();
 
@@ -373,19 +367,17 @@ class Endpoint {
   };
   std::deque<PendingWrite> pending_writes_;
   bool write_in_kernel_ = false;
-  obs::TraceSink* trace_ = nullptr;
   // Span-profiler bookkeeping: which application write produced which
   // sequence range (to bound the app-write stage), and how far the local
   // reader has consumed (to close inbound journeys). All updates are
-  // gated on spans_ except the cursors, which are cheap and must stay
-  // consistent whether or not a profiler is armed mid-run.
+  // gated on the armed profiler except the cursors, which are cheap and
+  // must stay consistent whether or not a profiler is armed mid-run.
   struct WriteSpan {
     net::Seq begin_seq = 0;
     net::Seq end_seq = 0;
     sim::SimTime called_at = 0;
     sim::SimTime done_at = 0;
   };
-  obs::SpanProfiler* spans_ = nullptr;
   std::deque<WriteSpan> write_spans_;
   net::Seq write_cursor_ = 0;       // next unwritten byte in send space
   net::Seq rcv_consumed_seq_ = 0;   // first unconsumed byte in rcv space

@@ -14,9 +14,9 @@ Listener::Listener(sim::Simulator& simulator, const ListenerConfig& config,
     : sim_(simulator), config_(config), hooks_(std::move(hooks)) {}
 
 void Listener::refuse(const net::Packet& pkt, const char* why) {
-  if (trace_) {
-    trace_->record_packet(obs::EventType::kListenDrop, sim_.now(), pkt,
-                          "listener", why);
+  if (hooks_.obs->trace) {
+    hooks_.obs->trace->record_packet(obs::EventType::kListenDrop, sim_.now(),
+                                     pkt, "listener", why);
   }
   if (config_.rst_on_overflow && hooks_.send_rst) hooks_.send_rst(pkt);
 }

@@ -14,11 +14,11 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "obs/instruments.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::obs {
 class Registry;
-class TraceSink;
 }
 
 namespace xgbe::tcp {
@@ -56,6 +56,8 @@ class Listener {
         make_endpoint;
     /// Sends a refusal RST answering `pkt` (host TX path).
     std::function<void(const net::Packet& pkt)> send_rst;
+    /// The host's instrument bundle: refused SYNs report kListenDrop.
+    const obs::Instruments* obs = &obs::Instruments::none();
   };
 
   Listener(sim::Simulator& simulator, const ListenerConfig& config,
@@ -83,8 +85,6 @@ class Listener {
   const ListenerStats& stats() const { return stats_; }
   const ListenerConfig& config() const { return config_; }
 
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-
   /// Registers the listener counters plus a half-open gauge under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix) const;
 
@@ -99,7 +99,6 @@ class Listener {
   std::uint32_t peak_half_open_ = 0;
   std::uint32_t peak_accept_queue_ = 0;
   std::deque<Endpoint*> ready_;
-  obs::TraceSink* trace_ = nullptr;
 };
 
 }  // namespace xgbe::tcp

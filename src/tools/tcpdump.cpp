@@ -1,5 +1,7 @@
 #include "tools/tcpdump.hpp"
 
+#include "core/testbed.hpp"
+
 namespace xgbe::tools {
 
 std::string format_wire_event(const obs::TraceEvent& ev) {
@@ -78,11 +80,13 @@ std::string fault_summary(const link::Link& wire) {
   return line;
 }
 
-Capture::Capture(sim::Simulator& simulator, const CaptureOptions& options)
-    : sim_(simulator), options_(options), sink_(/*capacity=*/1) {
+Capture::Capture(core::Testbed& testbed, const CaptureOptions& options)
+    : tb_(testbed), options_(options), sink_(/*capacity=*/1) {
   sink_.filter = [this](const obs::TraceEvent& ev) {
-    if (ev.type != obs::EventType::kWireTx &&
-        ev.type != obs::EventType::kWireDrop) {
+    // A link reports its wire events with its own name buffer as `where`.
+    if ((ev.type != obs::EventType::kWireTx &&
+         ev.type != obs::EventType::kWireDrop) ||
+        ev.where != wire_) {
       return false;
     }
     ++seen_;
@@ -96,9 +100,16 @@ Capture::Capture(sim::Simulator& simulator, const CaptureOptions& options)
   };
 }
 
-void Capture::attach(link::Link& wire) { wire.set_trace(&sink_); }
+void Capture::attach(link::Link& wire) {
+  wire_ = wire.name().c_str();
+  replaced_ = tb_.trace_sink();
+  tb_.set_trace_sink(&sink_);
+}
 
-void Capture::detach(link::Link& wire) { wire.set_trace(nullptr); }
+void Capture::detach(link::Link& /*wire*/) {
+  tb_.set_trace_sink(replaced_);
+  wire_ = nullptr;
+}
 
 std::string Capture::text() const {
   std::string out;

@@ -2,10 +2,11 @@
 // for analyzing protocols at the wire level" — the paper used it alongside
 // MAGNET to diagnose the window/MSS pathologies of §3.5.1).
 //
-// A Capture is now a formatter over the observability trace: it owns an
-// obs::TraceSink, arms it on a Link, and renders each wire event as one
-// tcpdump-like line. Frames lost to fault injection appear with a
-// " ** dropped (<cause>)" suffix — the old wire tap never saw the verdict.
+// A Capture is a formatter over the observability trace: it owns an
+// obs::TraceSink, arms it as its testbed's sink while attached to a link,
+// keeps that link's wire events, and renders each as one tcpdump-like line.
+// Frames lost to fault injection appear with a " ** dropped (<cause>)"
+// suffix — the old wire tap never saw the verdict.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,10 @@
 #include "link/link.hpp"
 #include "net/packet.hpp"
 #include "obs/trace.hpp"
-#include "sim/simulator.hpp"
+
+namespace xgbe::core {
+class Testbed;
+}
 
 namespace xgbe::tools {
 
@@ -45,13 +49,13 @@ std::string fault_summary(const link::Link& wire);
 
 class Capture {
  public:
-  explicit Capture(sim::Simulator& simulator,
-                   const CaptureOptions& options = {});
+  explicit Capture(core::Testbed& testbed, const CaptureOptions& options = {});
 
-  /// Arms this capture's sink on the link (replacing any sink already
-  /// armed there, like the old tap-stealing semantics).
+  /// Arms this capture's sink as the testbed's trace sink, keeping only the
+  /// wire events of `wire`. The sink it replaces gets no events until
+  /// detach(). Classic mode only, like Testbed::set_trace_sink().
   void attach(link::Link& wire);
-  /// Disarms the link's trace sink.
+  /// Stops capturing and re-arms the sink attach() replaced.
   void detach(link::Link& wire);
 
   const std::deque<std::string>& lines() const { return lines_; }
@@ -67,9 +71,11 @@ class Capture {
   obs::TraceSink& sink() { return sink_; }
 
  private:
-  sim::Simulator& sim_;
+  core::Testbed& tb_;
   CaptureOptions options_;
   obs::TraceSink sink_;
+  const char* wire_ = nullptr;  // the captured link's name buffer
+  obs::TraceSink* replaced_ = nullptr;
   std::deque<std::string> lines_;
   std::uint64_t seen_ = 0;
   std::uint64_t recorded_ = 0;

@@ -18,7 +18,7 @@ TEST(Capture, RecordsHandshakeAndData) {
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
   auto& wire = tb.connect(a, b);
 
-  tools::Capture cap(tb.simulator());
+  tools::Capture cap(tb);
   cap.attach(wire);
 
   auto conn =
@@ -48,7 +48,7 @@ TEST(Capture, FilterAndRingLimit) {
   tools::CaptureOptions copt;
   copt.max_lines = 8;
   copt.filter = [](const obs::TraceEvent& ev) { return ev.len > 0; };
-  tools::Capture cap(tb.simulator(), copt);
+  tools::Capture cap(tb, copt);
   cap.attach(wire);
 
   auto conn =
@@ -60,6 +60,48 @@ TEST(Capture, FilterAndRingLimit) {
 
   EXPECT_EQ(cap.frames_recorded(), 50u);  // data only, ACKs filtered
   EXPECT_EQ(cap.lines().size(), 8u);      // ring bounded
+}
+
+// A capture rides its testbed's trace sink, which every component reports
+// into, so it must keep its own link's wire events and nothing else. TCP
+// frames cross both uplinks; the UDP frames to an unknown node die at the
+// switch, so only a's uplink carries them.
+TEST(Capture, SeesOnlyItsOwnLink) {
+  core::Testbed tb;
+  const auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  auto& sw = tb.add_switch();
+  auto& uplink_a = tb.connect_to_switch(a, sw);
+  auto& uplink_b = tb.connect_to_switch(b, sw);
+  obs::TraceSink armed(16);
+  tb.set_trace_sink(&armed);
+
+  tools::Capture cap(tb);
+  cap.attach(uplink_a);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  tools::NttcpOptions opt;
+  opt.payload = 8948;
+  opt.count = 5;
+  ASSERT_TRUE(tools::run_nttcp(tb, conn, a, b, opt).completed);
+  net::Packet stray;
+  stray.protocol = net::Protocol::kUdp;
+  stray.src = a.node();
+  stray.dst = tb.next_node();  // no host, no forwarding entry
+  stray.payload_bytes = 100;
+  stray.frame_bytes = net::udp_frame_bytes(stray.payload_bytes);
+  for (int i = 0; i < 3; ++i) a.raw_transmit(stray);
+  tb.run_for(sim::usec(100));
+  cap.detach(uplink_a);
+
+  EXPECT_GT(uplink_b.frames_delivered(), 0u);
+  EXPECT_EQ(uplink_a.frames_delivered(), uplink_b.frames_delivered() + 3);
+  EXPECT_EQ(cap.frames_seen(), uplink_a.frames_delivered());
+  EXPECT_NE(cap.text().find("UDP, length 100"), std::string::npos);
+  // The sink the capture replaced saw nothing meanwhile and is back.
+  EXPECT_EQ(armed.offered(), 0u);
+  EXPECT_EQ(tb.trace_sink(), &armed);
 }
 
 TEST(Capture, FormatsRetransmissions) {

@@ -456,6 +456,40 @@ TEST(HeapFallbacks, TwoShardTestbedStaysInline) {
   }
 }
 
+// Host-fault deferrals (a scheduler pause, an -ENOBUFS retry backoff) park
+// the caller's continuation in the kernel; the retry event carries only the
+// sizes. A continuation captured in the event never fits its buffer, so
+// each deferral took the heap path. Same transfer, same events, same clock.
+TEST(HeapFallbacks, HostFaultDeferralsStayInline) {
+  core::Testbed tb;
+  auto tuning = core::TuningProfile::lan_tuned(9000);
+  auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
+  auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
+  tb.connect(a, b);
+  const auto plan = fault::HostFaultPlan{}
+                        .with_sched_pause(sim::msec(1), sim::msec(3))
+                        .with_alloc_failure(0.01);
+  a.set_host_fault_plan(plan);
+  b.set_host_fault_plan(plan);
+  auto conn =
+      tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
+  tools::NttcpOptions opt;
+  opt.payload = 8948;
+  opt.count = 1000;
+  const tools::NttcpResult r = tools::run_nttcp(tb, conn, a, b, opt);
+  ASSERT_TRUE(r.completed);
+  fault::HostFaultCounters faults = a.host_fault_counters();
+  faults += b.host_fault_counters();
+  EXPECT_GT(faults.sched_defers, 0u);
+  EXPECT_GT(faults.alloc_fail_tx, 0u);
+  // As when each of the 9 deferrals (2 sched, 7 alloc) captured its
+  // continuation in the event and took the heap.
+  EXPECT_EQ(tb.now(), 22'519'009'460);
+  EXPECT_EQ(r.bytes, 8'948'000u);
+  EXPECT_EQ(tb.simulator().executed_events(), 11'198u);
+  EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
+}
+
 // Samples the event set and the sender's flight at a fixed cadence,
 // between events, so arming it changes no executed-event count.
 class PendingEventSampler : public sim::TimeHook {

@@ -257,6 +257,40 @@ TEST_F(KernelFixture, SchedPauseDefersReaderAndWriter) {
   EXPECT_EQ(inj.counters().sched_defers, 2u);
 }
 
+TEST_F(KernelFixture, DeferredCallsResumeWithTheirOwnContinuations) {
+  // A pause ends at the first listed window holding the call. The write at
+  // 1 us fails its allocation and retries at 51 us; the read at 5 us falls
+  // only in [3, 100 us); the read at 15 us falls in the earlier-listed
+  // [10, 20 us) too, so its retry fires first, at 20 us, and finds the
+  // process still paused. All three enter the kernel at 100 us, in the
+  // order they were deferred there; the write's copy starts at once, the
+  // reads' after a wakeup. Each retry must run its own call's
+  // continuation: in the order retries fire, the write's would go to the
+  // read at 15 us.
+  auto k = make(KernelMode::kUniprocessor);
+  fault::HostFaultPlan plan;
+  plan.with_sched_pause(sim::usec(10), sim::usec(20))
+      .with_sched_pause(sim::usec(3), sim::usec(100))
+      .with_alloc_failure(1.0, /*budget=*/1);
+  plan.alloc_retry_backoff = sim::usec(50);
+  fault::HostFaultInjector inj(plan);
+  k.set_host_faults(&inj);
+  std::vector<int> order;
+  sim_.schedule_at(sim::usec(1), [&] {
+    k.app_write(8948, 1, 16384, [&] { order.push_back(0); });
+  });
+  sim_.schedule_at(sim::usec(5),
+                   [&] { k.app_read(8948, [&] { order.push_back(1); }); });
+  sim_.schedule_at(sim::usec(15),
+                   [&] { k.app_read(8948, [&] { order.push_back(2); }); });
+  sim_.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_GT(sim_.now(), sim::usec(100));
+  EXPECT_EQ(inj.counters().sched_defers, 4u);
+  EXPECT_EQ(inj.counters().alloc_fail_tx, 1u);
+  EXPECT_EQ(sim_.heap_fallbacks(), 0u);
+}
+
 TEST_F(KernelFixture, InactiveHostFaultsLeaveTimingBitIdentical) {
   auto charge = [&](bool armed) {
     Kernel k = make(KernelMode::kUniprocessor);

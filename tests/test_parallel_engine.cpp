@@ -146,6 +146,8 @@ TEST(ParallelEngine, SingleHostTimerLoadIsShardCountInvariant) {
 
 // Merged per-shard traces must be a partition-invariant timeline: the same
 // events, in the same (time, payload) order, whichever shard recorded them.
+// The sinks are armed after the topology is built, so every link direction
+// must reach its transmitter's sink too: one wire-tx per frame delivered.
 TEST(ParallelEngine, MergedShardTracesAreIdentical) {
   std::uint64_t base_fp = 0;
   std::uint64_t base_count = 0;
@@ -162,13 +164,23 @@ TEST(ParallelEngine, MergedShardTracesAreIdentical) {
     Options opt;
     opt.hosts = 8;
     opt.shards = shards;
-    opt.shard_traces = raw;  // armed before the topology: links record too
     auto c = build(opt);
+    c->tb.set_shard_trace_sinks(raw);
     drive(*c, xgbe::sim::msec(1), xgbe::sim::msec(4));
     const auto merged = xgbe::obs::merge_sorted(craw);
     const std::uint64_t fp = xgbe::obs::fingerprint(merged);
     std::uint64_t total = 0;
     for (const auto& sink : sinks) total += sink->recorded();
+    std::uint64_t frames = 0;
+    for (std::size_t i = 0; i < c->tb.link_count(); ++i) {
+      frames += c->tb.link_at(i).frames_delivered();
+    }
+    std::uint64_t wire_tx = 0;
+    for (const xgbe::obs::TraceEvent& ev : merged) {
+      if (ev.type == xgbe::obs::EventType::kWireTx) ++wire_tx;
+    }
+    EXPECT_GT(frames, 0u) << "shards=" << shards;
+    EXPECT_EQ(wire_tx, frames) << "shards=" << shards;
     if (shards == 1) {
       base_fp = fp;
       base_count = total;
