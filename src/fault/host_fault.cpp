@@ -14,11 +14,21 @@ bool in_any(const std::vector<TimeWindow>& windows, sim::SimTime t) {
   return false;
 }
 
+// The first instant at or after `t` that lies in no window, so overlapping
+// and chained windows merge whatever order they are listed in; 0 when `t`
+// lies in none. Each pass moves the end to a later window end, so it stops.
 sim::SimTime end_of(const std::vector<TimeWindow>& windows, sim::SimTime t) {
-  for (const TimeWindow& w : windows) {
-    if (w.contains(t)) return w.end;
+  sim::SimTime end = t;
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (const TimeWindow& w : windows) {
+      if (w.contains(end)) {
+        end = w.end;
+        moved = true;
+      }
+    }
   }
-  return 0;
+  return end == t ? 0 : end;
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ struct HostFaultPlan {
 
   // --- (5) scheduler pauses ------------------------------------------------
   /// Windows where the application process is descheduled: socket reads and
-  /// writes entering the kernel are deferred to the window's end, so the
+  /// writes entering the kernel are deferred until it lies in no window, so the
   /// receiver stops draining (sockbuf pressure, zero-window advertisement,
   /// persist probes) and the sender stops feeding.
   std::vector<TimeWindow> sched_pauses;
@@ -179,7 +179,8 @@ class HostFaultInjector {
   // --- (2) descriptor-ring stalls (pure time windows, no RNG) --------------
   bool rx_ring_stalled(sim::SimTime now) const;
   bool tx_ring_stalled(sim::SimTime now) const;
-  /// End of the stall window containing `now` (0 when not stalled).
+  /// The first instant at or after `now` in no stall window (overlapping
+  /// and chained windows merge); 0 when not stalled.
   sim::SimTime rx_stall_end(sim::SimTime now) const;
   sim::SimTime tx_stall_end(sim::SimTime now) const;
   void count_ring_stall_drop() { ++counters_.ring_stall_drops; }
@@ -198,7 +199,7 @@ class HostFaultInjector {
 
   // --- (5) scheduler pauses (pure time windows, no RNG) --------------------
   /// When `now` falls inside a pause window, the time the app process runs
-  /// again; otherwise 0.
+  /// again: the first instant in no pause window. Otherwise 0.
   sim::SimTime sched_resume_at(sim::SimTime now) const;
   void count_sched_defer() { ++counters_.sched_defers; }
 

@@ -39,7 +39,7 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
            const obs::Instruments* obs_a, const obs::Instruments* obs_b)
     : spec_(spec),
       name_(std::move(name)),
-      sharded_(true),
+      engine_(&engine),
       ab_(engine.shard(shard_a), name_ + "/ab", obs_a),
       ba_(engine.shard(shard_b), name_ + "/ba", obs_b),
       script_(legacy_plan(spec)) {
@@ -54,15 +54,13 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
   ab_.script = &ab_.own_script;
   ba_.script = &ba_.own_script;
   // Every delivery — same-shard ones included, so results cannot depend on
-  // where hosts landed — goes through a barrier-committed channel. The
-  // destination of a->b traffic is the B side's shard (where ba_ transmits
-  // from) and vice versa.
-  ab_.use_channel = true;
-  ba_.use_channel = true;
-  ab_channel_.bind(this, /*forward=*/true, ba_.sim);
-  ba_channel_.bind(this, /*forward=*/false, ab_.sim);
-  engine.register_channel(&ab_channel_);
-  engine.register_channel(&ba_channel_);
+  // where hosts landed — is posted for the engine to commit at the barrier.
+  // The destination of a->b traffic is the B side's shard (where ba_
+  // transmits from) and vice versa.
+  ab_.channel = engine.add_channel();
+  ba_.channel = engine.add_channel();
+  ab_.from_shard = ba_.to_shard = shard_a;
+  ba_.from_shard = ab_.to_shard = shard_b;
 }
 
 void Link::set_fault_plan(const fault::FaultPlan& plan) {
@@ -109,18 +107,6 @@ sim::SimTime Link::serialization_time(const net::Packet& pkt) const {
 
 std::uint32_t Link::backlog(const NetDevice* from) const {
   return from == a_ ? ab_.backlog() : ba_.backlog();
-}
-
-void Link::Channel::commit_entry(std::size_t index) {
-  NetDevice* sink = forward_ ? link_->b_ : link_->a_;
-  if (sink == nullptr) return;
-  // Conservative lookahead guarantees the arrival lands strictly past the
-  // window the frame was transmitted in, so the destination clock has not
-  // reached it yet; schedule_at never has to clamp.
-  const Pending& entry = entries_[index];
-  assert(entry.at >= dst_->now());
-  dst_->schedule_at(entry.at,
-                    [sink, pkt = entry.pkt]() { sink->deliver(pkt); });
 }
 
 std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
@@ -194,11 +180,10 @@ std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
     if (verdict.corrupt) out.corrupted = true;
     const sim::SimTime arrival =
         done.time + spec_.propagation + verdict.extra_delay;
-    if (dir.use_channel) {
-      Channel& channel = forward ? ab_channel_ : ba_channel_;
-      channel.push(arrival, out);
+    if (engine_ != nullptr) {
+      post(dir, sink, arrival, out);
       if (verdict.duplicate) {
-        channel.push(arrival + verdict.duplicate_delay, out);
+        post(dir, sink, arrival + verdict.duplicate_delay, out);
       }
     } else {
       deliver_later(dir, sink, arrival, out);
@@ -242,6 +227,12 @@ void Link::deliver_head(Direction& dir) {
     dir.sim->schedule_reserved(next.arrival, next.seq,
                                [this, &dir]() { deliver_head(dir); });
   }
+}
+
+void Link::post(const Direction& dir, NetDevice* sink, sim::SimTime arrival,
+                const net::Packet& pkt) {
+  engine_->post(dir.from_shard, dir.channel, dir.to_shard, arrival,
+                [sink, pkt]() { sink->deliver(pkt); });
 }
 
 void Link::register_metrics(obs::Registry& reg,

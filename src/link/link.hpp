@@ -75,12 +75,13 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///    one event per frame would give. A frame arriving before the ring's
 ///    tail (a reorder or duplicate delay) gets its own event instead, which
 ///    carries the frame by value.
-///  - Sharded: each direction lives on its transmitter's shard; deliveries
-///    (including same-shard ones, so results cannot depend on the partition)
-///    are buffered in per-direction exchange channels that the engine
-///    commits at window barriers. All mutable per-frame state (counters,
-///    backlog, fault RNG) is per-direction, so the two shard workers never
-///    share a cache line they write.
+///  - Sharded: each direction lives on its transmitter's shard and takes a
+///    channel id from the engine; it posts every delivery (same-shard ones
+///    included, so results cannot depend on the partition) into its shard's
+///    outbox, and the engine schedules it on the receiver's shard at the
+///    window barrier. All mutable per-frame state (counters, backlog, fault
+///    RNG) is per-direction, so the two shard workers never share a cache
+///    line they write.
 ///
 /// Each direction reports into its transmitter's instrument bundle: every
 /// frame offered to the wire traces kWireTx when it serializes, or kWireDrop
@@ -92,9 +93,9 @@ class Link {
        const obs::Instruments* obs = &obs::Instruments::none());
 
   /// Sharded-mode link between `shard_a` (the A side's shard) and `shard_b`.
-  /// Registers one exchange channel per direction with the engine — link
-  /// creation order therefore defines the cross-shard merge order and must
-  /// be identical across runs (it is: topology construction is code).
+  /// Takes one engine channel id per direction, a->b first — link creation
+  /// order therefore defines the cross-shard merge order and must be
+  /// identical across runs (it is: topology construction is code).
   /// `obs_a` is the a->b direction's bundle, `obs_b` the b->a one's.
   Link(sim::ShardedEngine& engine, std::size_t shard_a, std::size_t shard_b,
        const LinkSpec& spec, std::string name,
@@ -174,7 +175,7 @@ class Link {
   /// Sharded links apply the drops to the a->b direction (the two
   /// directions no longer share an injector there).
   void inject_drops(int n) {
-    (sharded_ ? ab_.own_script : script_).inject_drops(n);
+    (engine_ != nullptr ? ab_.own_script : script_).inject_drops(n);
   }
 
   std::uint64_t drops_forced() const {
@@ -255,43 +256,14 @@ class Link {
     // pre-fault-layer seeds bit-identical), `own_script` in sharded mode.
     fault::FaultInjector* script = nullptr;
     fault::FaultInjector own_script;
-    bool use_channel = false;
+    // Sharded mode: the engine channel this direction posts on, and the
+    // shards it posts from (the transmitter's) and to (the receiver's).
+    std::uint32_t channel = 0;
+    std::size_t from_shard = 0;
+    std::size_t to_shard = 0;
     // Classic mode: frames on the wire in arrival order; only the head has
     // a pending event.
     sim::BlockFifo<InFlight> ring;
-  };
-
-  /// Exchange buffer for one direction of a sharded link. Appended to by
-  /// the transmitting shard's worker during a window; drained by the engine
-  /// at the barrier, which schedules each frame, by value, on the
-  /// destination shard.
-  class Channel final : public sim::ExchangeChannel {
-   public:
-    void bind(Link* link, bool forward, sim::Simulator* dst) {
-      link_ = link;
-      forward_ = forward;
-      dst_ = dst;
-    }
-    void push(sim::SimTime at, const net::Packet& pkt) {
-      entries_.push_back({at, pkt});
-    }
-
-    std::size_t pending() const override { return entries_.size(); }
-    sim::SimTime entry_time(std::size_t index) const override {
-      return entries_[index].at;
-    }
-    void commit_entry(std::size_t index) override;
-    void clear_window() override { entries_.clear(); }
-
-   private:
-    struct Pending {
-      sim::SimTime at;
-      net::Packet pkt;
-    };
-    Link* link_ = nullptr;
-    bool forward_ = true;
-    sim::Simulator* dst_ = nullptr;
-    std::vector<Pending> entries_;
   };
 
   /// Classic mode: books `pkt` to reach `sink` at `arrival`, on the ring
@@ -300,16 +272,17 @@ class Link {
                      const net::Packet& pkt);
   /// The ring's pending event: delivers the head, schedules the next one.
   void deliver_head(Direction& dir);
+  /// Sharded mode: posts `pkt` to reach `sink` at `arrival`.
+  void post(const Direction& dir, NetDevice* sink, sim::SimTime arrival,
+            const net::Packet& pkt);
 
   LinkSpec spec_;
   std::string name_;
-  bool sharded_ = false;
+  sim::ShardedEngine* engine_ = nullptr;  // sharded mode only
   NetDevice* a_ = nullptr;
   NetDevice* b_ = nullptr;
   Direction ab_;
   Direction ba_;
-  Channel ab_channel_;
-  Channel ba_channel_;
   // Shared by both directions in classic mode, like the pre-fault-layer
   // loss knob: carries the LinkSpec loss_rate/loss_seed plan plus deprecated
   // forced drops, and consumes RNG draws in transmit order so legacy seeds

@@ -29,7 +29,8 @@ unsigned thread_override_from_env() {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(std::size_t shard_count) {
+ShardedEngine::ShardedEngine(std::size_t shard_count)
+    : outboxes_(shard_count) {
   assert(shard_count > 0);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
@@ -38,11 +39,6 @@ ShardedEngine::ShardedEngine(std::size_t shard_count) {
 }
 
 ShardedEngine::~ShardedEngine() { stop_workers(); }
-
-std::uint32_t ShardedEngine::register_channel(ExchangeChannel* channel) {
-  channels_.push_back(channel);
-  return static_cast<std::uint32_t>(channels_.size() - 1);
-}
 
 void ShardedEngine::set_lookahead(SimTime lookahead) {
   lookahead_ = lookahead < 1 ? 1 : lookahead;
@@ -80,8 +76,8 @@ void ShardedEngine::run_until(SimTime horizon) {
     const SimTime edge = window_edge(window_start, lookahead_, horizon);
     execute_window(edge);
     ++windows_;
-    // Commit even when stopping: buffered entries are scheduled (not
-    // executed), and leaving them in the channels would let a resumed run
+    // Commit even when stopping: posted entries are scheduled (not
+    // executed), and leaving them in the outboxes would let a resumed run
     // commit them into a window that has already passed.
     commit_exchange();
     bool shard_stopped = false;
@@ -201,27 +197,33 @@ void ShardedEngine::worker_loop() {
 
 void ShardedEngine::commit_exchange() {
   commit_order_.clear();
-  for (std::uint32_t c = 0; c < channels_.size(); ++c) {
-    const std::size_t n = channels_[c]->pending();
-    for (std::size_t i = 0; i < n; ++i) {
-      commit_order_.push_back(
-          {channels_[c]->entry_time(i), c, static_cast<std::uint32_t>(i)});
+  for (std::uint32_t from = 0; from < outboxes_.size(); ++from) {
+    const std::vector<Posted>& posted = outboxes_[from].posted;
+    for (std::uint32_t i = 0; i < posted.size(); ++i) {
+      commit_order_.push_back({posted[i].at, posted[i].channel, from, i});
     }
   }
-  // (time, channel, append index): unique, total, and independent of the
+  if (commit_order_.empty()) return;
+  // (time, channel, post order): unique, total, and independent of the
   // partition — channel ids follow topology construction order, not shard
   // layout. Committed entries therefore take identical queue sequence
   // numbers in every configuration.
   std::sort(commit_order_.begin(), commit_order_.end(),
             [](const CommitKey& a, const CommitKey& b) {
-              return std::tie(a.at, a.channel, a.index) <
-                     std::tie(b.at, b.channel, b.index);
+              return std::tie(a.at, a.channel, a.shard, a.index) <
+                     std::tie(b.at, b.channel, b.shard, b.index);
             });
   for (const CommitKey& key : commit_order_) {
-    channels_[key.channel]->commit_entry(key.index);
+    Posted& entry = outboxes_[key.shard].posted[key.index];
+    Simulator& dst = *shards_[entry.to];
+    // Conservative lookahead guarantees the entry lands strictly past the
+    // window it was posted in, so the destination clock has not reached
+    // it yet; schedule_at never has to clamp.
+    assert(entry.at >= dst.now());
+    dst.schedule_at(entry.at, std::move(entry.fn));
   }
   exchanged_ += commit_order_.size();
-  for (ExchangeChannel* channel : channels_) channel->clear_window();
+  for (Outbox& outbox : outboxes_) outbox.posted.clear();
 }
 
 void ShardedEngine::watch_progress(std::string name,

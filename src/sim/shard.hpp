@@ -12,16 +12,18 @@
 // the classic conservative null-message/window scheme, with the global
 // barrier playing the role of the null messages.
 //
-// Cross-shard events never touch a foreign event queue directly. Each link
-// direction that crosses a shard boundary appends pending deliveries to its
-// own ExchangeChannel buffer (single-writer: only the transmitting shard's
-// worker touches it inside a window). At the barrier the engine commits all
-// buffered entries into their destination queues in a fixed merge order —
-// (timestamp, channel id, per-channel append index) — where channel ids are
-// assigned in topology construction order. Every key in that order is
-// independent of how hosts were partitioned and of the thread count, so the
-// committed schedule, and therefore the whole simulation, is bit-identical
-// for any shard/thread count, including one.
+// Cross-shard events never touch a foreign event queue directly. A link
+// direction takes a channel id from the engine when it is built, and posts
+// each delivery into the outbox of the shard it transmits from (single
+// writer: only that shard's worker touches its outbox inside a window). At
+// the barrier the engine gathers what the outboxes hold and schedules it on
+// the destination shards in a fixed merge order — (timestamp, channel id,
+// post order) — where channel ids are handed out in topology construction
+// order. Every key in that order is independent of how hosts were
+// partitioned and of the thread count, so the committed schedule, and
+// therefore the whole simulation, is bit-identical for any shard/thread
+// count, including one. A barrier costs O(entries posted in the window); it
+// touches no link.
 #pragma once
 
 #include <atomic>
@@ -35,33 +37,11 @@
 #include <thread>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace xgbe::sim {
-
-/// Deterministic buffer of events crossing a shard boundary. The
-/// transmitting shard appends entries during a window; the engine drains the
-/// buffer at the barrier, committing entries into the destination shard's
-/// queue in global merge order. Implementations keep entries in append
-/// order; `index` in commit_entry() refers to that order.
-class ExchangeChannel {
- public:
-  virtual ~ExchangeChannel() = default;
-
-  /// Entries appended during the window just executed.
-  virtual std::size_t pending() const = 0;
-
-  /// Scheduled (destination) time of entry `index`.
-  virtual SimTime entry_time(std::size_t index) const = 0;
-
-  /// Schedules entry `index` into the destination shard's event queue.
-  /// Called only between windows, in global merge order.
-  virtual void commit_entry(std::size_t index) = 0;
-
-  /// Discards the window's entries after they were all committed.
-  virtual void clear_window() = 0;
-};
 
 /// Engine-level watchdog options; mirrors sim::Watchdog::Options. The engine
 /// watchdog is evaluated at window barriers (not via scheduled events), so
@@ -74,7 +54,7 @@ struct EngineWatchdogOptions {
 };
 
 /// Runs N shard Simulators under conservative lookahead with barrier-
-/// committed exchange channels. Deterministic for any shard/thread count.
+/// committed per-shard outboxes. Deterministic for any shard/thread count.
 class ShardedEngine {
  public:
   explicit ShardedEngine(std::size_t shard_count);
@@ -88,10 +68,21 @@ class ShardedEngine {
   Simulator& shard(std::size_t i) { return *shards_[i]; }
   const Simulator& shard(std::size_t i) const { return *shards_[i]; }
 
-  /// Registers a channel; ids are assigned in call order, which must follow
-  /// topology construction order (it is part of the merge order, so it must
-  /// not depend on the partition). Returns the channel id.
-  std::uint32_t register_channel(ExchangeChannel* channel);
+  /// Hands out the next channel id. Ids go out in call order, which must
+  /// follow topology construction order (it is part of the merge order, so
+  /// it must not depend on the partition).
+  std::uint32_t add_channel() { return channels_++; }
+
+  /// Posts `fn` to run on shard `to` at `at`; the window's barrier
+  /// schedules it. Called by an event running on shard `from`: only that
+  /// shard's worker writes its outbox. One channel is posted from one
+  /// shard, so post order within a channel is well defined. `at` must lie
+  /// past the window, as a frame crossing a link does.
+  void post(std::size_t from, std::uint32_t channel, std::size_t to,
+            SimTime at, InlineCallback fn) {
+    outboxes_[from].posted.push_back(
+        Posted{at, channel, static_cast<std::uint32_t>(to), std::move(fn)});
+  }
 
   /// Sets the lookahead (window width). Must be <= the minimum propagation
   /// delay over all cross-shard links; Testbed computes it as the minimum
@@ -131,7 +122,7 @@ class ShardedEngine {
   /// Lookahead windows executed so far.
   std::uint64_t windows() const { return windows_; }
 
-  /// Cross-shard events committed through exchange channels so far.
+  /// Posted events committed at barriers so far.
   std::uint64_t exchanged() const { return exchanged_; }
 
   // --- Engine watchdog ------------------------------------------------------
@@ -180,11 +171,25 @@ class ShardedEngine {
     std::string name;
     std::function<std::string()> fn;
   };
-  // Merge key for one buffered exchange entry; (channel, index) is unique,
-  // so the order is total and partition-invariant.
+  // One posted event, waiting in its source shard's outbox.
+  struct Posted {
+    SimTime at;
+    std::uint32_t channel;
+    std::uint32_t to;
+    InlineCallback fn;
+  };
+  // A shard's outbox, on its own cache line so the pool's workers do not
+  // false-share them.
+  struct alignas(64) Outbox {
+    std::vector<Posted> posted;
+  };
+  // Merge key for one posted entry: `index` is its place in outbox `shard`.
+  // A channel has one source shard, so (channel, index) is unique and the
+  // order is total and partition-invariant.
   struct CommitKey {
     SimTime at;
     std::uint32_t channel;
+    std::uint32_t shard;
     std::uint32_t index;
   };
 
@@ -194,7 +199,7 @@ class ShardedEngine {
   /// Executes one window: every shard runs to `edge_inclusive`.
   void execute_window(SimTime edge_inclusive);
 
-  /// Commits all buffered channel entries in merge order.
+  /// Schedules every posted entry in merge order and empties the outboxes.
   void commit_exchange();
 
   /// Evaluates the watchdog for every interval boundary crossed when
@@ -207,7 +212,8 @@ class ShardedEngine {
   void worker_loop();
 
   std::vector<std::unique_ptr<Simulator>> shards_;
-  std::vector<ExchangeChannel*> channels_;
+  std::vector<Outbox> outboxes_;  // one per shard
+  std::uint32_t channels_ = 0;
   SimTime lookahead_ = 1;
   SimTime now_ = 0;
   bool stopped_ = false;

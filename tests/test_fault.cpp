@@ -290,6 +290,36 @@ TEST(HostFaultInjector, WindowsAreHalfOpenAndPure) {
   EXPECT_EQ(inj.sched_resume_at(sim::msec(65)), 0);
 }
 
+TEST(HostFaultInjector, OverlappingWindowsEndWhereTheirUnionEnds) {
+  // Listed out of order: a window, a longer one overlapping its start, one
+  // chained onto its end, and a separate one. Each helper returns the first
+  // instant in no window, whichever window holding `t` is listed first.
+  const std::vector<fault::TimeWindow> windows = {
+      {sim::msec(10), sim::msec(20)},
+      {sim::msec(3), sim::msec(15)},
+      {sim::msec(20), sim::msec(25)},
+      {sim::msec(40), sim::msec(50)}};
+  fault::HostFaultPlan plan;
+  plan.rx_ring_stalls = windows;
+  plan.tx_ring_stalls = windows;
+  plan.sched_pauses = windows;
+  const fault::HostFaultInjector inj(plan);
+  using Helper = sim::SimTime (fault::HostFaultInjector::*)(sim::SimTime)
+      const;
+  for (const Helper end_of : {&fault::HostFaultInjector::rx_stall_end,
+                              &fault::HostFaultInjector::tx_stall_end,
+                              &fault::HostFaultInjector::sched_resume_at}) {
+    EXPECT_EQ((inj.*end_of)(sim::msec(3) - 1), 0);
+    EXPECT_EQ((inj.*end_of)(sim::msec(3)), sim::msec(25));
+    EXPECT_EQ((inj.*end_of)(sim::msec(12)), sim::msec(25));
+    EXPECT_EQ((inj.*end_of)(sim::msec(20)), sim::msec(25));
+    EXPECT_EQ((inj.*end_of)(sim::msec(25) - 1), sim::msec(25));
+    EXPECT_EQ((inj.*end_of)(sim::msec(25)), 0);
+    EXPECT_EQ((inj.*end_of)(sim::msec(45)), sim::msec(50));
+    EXPECT_EQ((inj.*end_of)(sim::msec(50)), 0);
+  }
+}
+
 TEST(HostFaultInjector, SameSeedSamePlanSameDecisions) {
   fault::HostFaultPlan plan;
   plan.with_seed(99).with_alloc_failure(0.3).with_irq_miss(0.2);

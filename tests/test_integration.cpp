@@ -439,8 +439,8 @@ TEST(HeapFallbacks, ReorderingDuplicatingSwitchedPathStaysInline) {
   EXPECT_EQ(tb.simulator().heap_fallbacks(), 0u);
 }
 
-// Sharded links deliver through exchange channels: the barrier schedules
-// each frame on its destination shard, faulted frames included.
+// Sharded links post their deliveries to the engine's outboxes: the barrier
+// schedules each frame on its destination shard, faulted frames included.
 TEST(HeapFallbacks, TwoShardTestbedStaysInline) {
   core::cluster::Options opt;
   opt.hosts = 4;

@@ -2,6 +2,9 @@
 // kernel cost model, kernel runtime paths.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "fault/host_fault.hpp"
 #include "hw/presets.hpp"
 #include "net/headers.hpp"
@@ -258,15 +261,15 @@ TEST_F(KernelFixture, SchedPauseDefersReaderAndWriter) {
 }
 
 TEST_F(KernelFixture, DeferredCallsResumeWithTheirOwnContinuations) {
-  // A pause ends at the first listed window holding the call. The write at
-  // 1 us fails its allocation and retries at 51 us; the read at 5 us falls
-  // only in [3, 100 us); the read at 15 us falls in the earlier-listed
-  // [10, 20 us) too, so its retry fires first, at 20 us, and finds the
-  // process still paused. All three enter the kernel at 100 us, in the
-  // order they were deferred there; the write's copy starts at once, the
-  // reads' after a wakeup. Each retry must run its own call's
-  // continuation: in the order retries fire, the write's would go to the
-  // read at 15 us.
+  // A pause lasts until the process lies in no pause window, so the
+  // overlapping [10, 20 us) and [3, 100 us) act as one pause to 100 us. The
+  // write at 1 us fails its allocation and retries at 51 us, inside the
+  // pause, and is deferred again; the reads at 5 us and 15 us are deferred
+  // to 100 us at once (the one at 15 us lies in the earlier-listed
+  // [10, 20 us) too, yet does not retry at 20 us). That is three
+  // deferrals. All three calls enter the kernel at 100 us, in the order
+  // they were deferred there; the write's copy starts at once, the reads'
+  // after a wakeup. Each retry must run its own call's continuation.
   auto k = make(KernelMode::kUniprocessor);
   fault::HostFaultPlan plan;
   plan.with_sched_pause(sim::usec(10), sim::usec(20))
@@ -286,7 +289,38 @@ TEST_F(KernelFixture, DeferredCallsResumeWithTheirOwnContinuations) {
   sim_.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_GT(sim_.now(), sim::usec(100));
-  EXPECT_EQ(inj.counters().sched_defers, 4u);
+  EXPECT_EQ(inj.counters().sched_defers, 3u);
+  EXPECT_EQ(inj.counters().alloc_fail_tx, 1u);
+  EXPECT_EQ(sim_.heap_fallbacks(), 0u);
+}
+
+TEST_F(KernelFixture, CallParkedLaterResumesFirst) {
+  // The write at 1 us fails its allocation and backs off to 51 us; the
+  // read at 5 us is parked after it, in a pause that ends sooner, at
+  // 30 us. The read's retry fires first and must take the read's
+  // continuation, not the oldest parked one (the write's).
+  auto k = make(KernelMode::kUniprocessor);
+  fault::HostFaultPlan plan;
+  plan.with_sched_pause(sim::usec(3), sim::usec(30))
+      .with_alloc_failure(1.0, /*budget=*/1);
+  plan.alloc_retry_backoff = sim::usec(50);
+  fault::HostFaultInjector inj(plan);
+  k.set_host_faults(&inj);
+  std::vector<std::pair<int, sim::SimTime>> done;
+  sim_.schedule_at(sim::usec(1), [&] {
+    k.app_write(8948, 1, 16384, [&] { done.emplace_back(0, sim_.now()); });
+  });
+  sim_.schedule_at(sim::usec(5), [&] {
+    k.app_read(8948, [&] { done.emplace_back(1, sim_.now()); });
+  });
+  sim_.run();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first, 1);
+  EXPECT_GT(done[0].second, sim::usec(30));
+  EXPECT_LT(done[0].second, sim::usec(51));
+  EXPECT_EQ(done[1].first, 0);
+  EXPECT_GT(done[1].second, sim::usec(51));
+  EXPECT_EQ(inj.counters().sched_defers, 1u);
   EXPECT_EQ(inj.counters().alloc_fail_tx, 1u);
   EXPECT_EQ(sim_.heap_fallbacks(), 0u);
 }

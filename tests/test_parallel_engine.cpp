@@ -290,7 +290,7 @@ TEST(ParallelEngine, StopRequestHaltsAtBarrier) {
 TEST(ParallelEngine, ExchangeCommitOrderBreaksTimestampTies) {
   // Three source shards land frames on shard 0 with IDENTICAL timestamps.
   // The engine's contract: cross-shard deliveries commit in (timestamp,
-  // channel-id, append-index) order, and channel ids follow link creation
+  // channel id, post order) order, and channel ids follow link creation
   // order — never submission order or thread completion order. The sends
   // are armed in reverse shard order so submission order disagrees with
   // the required commit order, and the sweep covers serial and pooled
@@ -341,6 +341,61 @@ TEST(ParallelEngine, ExchangeCommitOrderBreaksTimestampTies) {
   // id (link creation order), identically for every thread count.
   EXPECT_EQ(orders[0], expected);
   EXPECT_EQ(orders[1], expected);
+}
+
+TEST(ShardedEngine, CommitsInTimeChannelPostOrder) {
+  // Posts straight through the engine, no links: shards 1-3 post to shard
+  // 0 from events inside one window. Channel ids are allocated 3, 1, 2 in
+  // shard terms, so channel order disagrees with shard order; shard 2 posts
+  // twice on its channel at one instant, and shard 3 posts a later entry
+  // before an earlier one. Shard 0 must run them in (time, channel, post
+  // order), serially and on a 4-thread pool.
+  using xgbe::sim::SimTime;
+  const SimTime at = xgbe::sim::usec(10);
+  struct Ran {
+    int tag;
+    SimTime when;
+  };
+  const std::vector<int> expected = {30, 10, 20, 21, 31};
+  for (const unsigned threads : {1u, 4u}) {
+    xgbe::sim::ShardedEngine engine(4);
+    engine.set_threads(threads);
+    engine.set_lookahead(xgbe::sim::usec(5));
+    std::uint32_t channel[4] = {};
+    channel[3] = engine.add_channel();
+    channel[1] = engine.add_channel();
+    channel[2] = engine.add_channel();
+    ASSERT_EQ(channel[3], 0u);
+    ASSERT_EQ(channel[1], 1u);
+    ASSERT_EQ(channel[2], 2u);
+    std::vector<Ran> ran;  // appended to by shard 0's events only
+    auto post = [&engine, &channel, &ran](std::size_t from, SimTime when,
+                                          int tag) {
+      engine.post(from, channel[from], 0, when, [&engine, &ran, tag]() {
+        ran.push_back({tag, engine.shard(0).now()});
+      });
+    };
+    engine.shard(1).schedule_at(xgbe::sim::usec(1),
+                                [&post, at]() { post(1, at, 10); });
+    engine.shard(2).schedule_at(xgbe::sim::usec(1), [&post, at]() {
+      post(2, at, 20);
+      post(2, at, 21);
+    });
+    engine.shard(3).schedule_at(xgbe::sim::usec(1), [&post, at]() {
+      post(3, at + 1, 31);
+      post(3, at, 30);
+    });
+    engine.run();
+    std::vector<int> tags;
+    for (const Ran& r : ran) tags.push_back(r.tag);
+    EXPECT_EQ(tags, expected) << "threads=" << threads;
+    ASSERT_EQ(ran.size(), expected.size()) << "threads=" << threads;
+    for (const Ran& r : ran) {
+      EXPECT_EQ(r.when, r.tag == 31 ? at + 1 : at) << "tag=" << r.tag;
+    }
+    EXPECT_EQ(engine.exchanged(), expected.size());
+    EXPECT_EQ(engine.shard(0).executed_events(), expected.size());
+  }
 }
 
 }  // namespace
