@@ -131,8 +131,8 @@ class ResultLog {
     points_.push_back(std::move(p));
   }
 
-  /// Records one run-environment fact (e.g. the XGBE_SHARD_THREADS a sweep
-  /// ran under) in the envelope's "meta" object. The object is emitted only
+  /// Records one run-environment fact (e.g. the congestion control a run
+  /// used) in the envelope's "meta" object. The object is emitted only
   /// when at least one key was set, so existing goldens stay byte-identical
   /// for runs that never call this.
   void set_meta(const std::string& key, const std::string& value) {
@@ -624,14 +624,6 @@ inline WanRun wan_run(std::uint32_t buffer_bytes,
                                                                   argv);    \
     if (!::xgbe::bench::init_cc_from_request()) return 1;                   \
     if (!::xgbe::bench::check_scrape_period_request()) return 1;            \
-    /* A sweep's thread count shapes wall-clock numbers, so runs under     \
-       XGBE_SHARD_THREADS stamp it into the envelope's meta; unset runs    \
-       emit no meta object at all, keeping golden files byte-identical. */ \
-    if (const char* xgbe_st = std::getenv("XGBE_SHARD_THREADS");           \
-        xgbe_st != nullptr && *xgbe_st != '\0') {                          \
-      ::xgbe::bench::ResultLog::instance().set_meta("XGBE_SHARD_THREADS",  \
-                                                    xgbe_st);              \
-    }                                                                       \
     ::benchmark::Initialize(&argc, argv);                                   \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;     \
     ::benchmark::RunSpecifiedBenchmarks();                                  \

@@ -9,12 +9,13 @@
 // cancelled and re-armed before it fires, which is exactly where the seed's
 // sort-per-cancel went quadratic.
 // The multi-host scaling mode (SimCore_Cluster) measures the sharded
-// parallel engine on the canonical pair cluster: whole-simulation events/sec
-// at 1..512 hosts for shard counts {1, 2, 8}, plus the deterministic
-// counters (event/window/exchange totals and a metrics fingerprint) the
-// golden baseline gates on. Wall-clock rates depend on the machine and are
-// never gated; `cores`/`threads` are recorded so a reader can judge the
-// speedup column (a 1-core container cannot show one).
+// engine on the canonical pair cluster: whole-simulation events/sec at
+// 1..512 hosts for shard counts {1, 2, 8}, plus the deterministic counters
+// (event/window/exchange totals and a metrics fingerprint) the golden
+// baseline gates on. Wall-clock rates depend on the machine and are never
+// gated. The engine runs every shard on one thread, so the speedup column
+// is the serial benefit of sharding (smaller per-shard queues); `cores` is
+// recorded so a reader can compare machines.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -211,7 +212,7 @@ void SimCore_Mixed_Seed(benchmark::State& s) {
   run<&mixed<SeedQueue>>(s);
 }
 
-// --- Multi-host scaling on the sharded parallel engine ---------------------
+// --- Multi-host scaling on the sharded engine ------------------------------
 
 // Measured simulated window per cluster size, chosen so every point finishes
 // in seconds of wall clock while still executing millions of events.
@@ -233,7 +234,6 @@ void SimCore_Cluster(benchmark::State& state) {
   std::uint64_t windows = 0;
   std::uint64_t exchanged = 0;
   std::uint64_t fp = 0;
-  unsigned threads = 0;
   double wall_s = 0.0;
   for (auto _ : state) {
     auto c = cluster::build(opt);
@@ -246,7 +246,6 @@ void SimCore_Cluster(benchmark::State& state) {
     events = engine.executed_events();
     windows = engine.windows();
     exchanged = engine.exchanged();
-    threads = engine.threads();
     fp = cluster::fingerprint(*c);
   }
   state.SetItemsProcessed(state.iterations() * events);
@@ -273,7 +272,6 @@ void SimCore_Cluster(benchmark::State& state) {
                                    : 0.0;
   state.counters["events_per_sec"] = rate;
   state.counters["wall_ms"] = wall_s * 1e3;
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["cores"] =
       static_cast<double>(std::thread::hardware_concurrency());
   static std::map<std::size_t, double> base_rate;  // shards=1 runs first

@@ -223,8 +223,9 @@ def validate(doc):
     if not isinstance(doc.get("binary"), str) or not doc.get("binary"):
         _err(errors, "binary", "must be a non-empty string")
 
-    # Optional run-environment facts (e.g. XGBE_SHARD_THREADS). Emitted only
-    # when the run recorded at least one, so its absence is fine.
+    # Optional run-environment facts (e.g. the "cc" a --cc run used).
+    # Emitted only when the run recorded at least one, so its absence is
+    # fine.
     meta = doc.get("meta")
     if meta is not None:
         if not isinstance(meta, dict):

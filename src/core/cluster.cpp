@@ -9,9 +9,6 @@ namespace xgbe::core::cluster {
 
 std::unique_ptr<Cluster> build(const Options& options) {
   auto c = std::make_unique<Cluster>(options.shards);
-  // 0 keeps the engine's default resolution (env override, then hardware
-  // concurrency); set_threads(0) would instead force the serial path.
-  if (options.threads != 0) c->tb.engine().set_threads(options.threads);
   const auto system = hw::presets::pe2650();
   const auto tuning = TuningProfile::with_big_windows(options.mtu);
 
@@ -40,8 +37,8 @@ std::unique_ptr<Cluster> build(const Options& options) {
   wire.propagation = options.propagation;
   for (std::size_t i = 0; i < npairs; ++i) {
     // Contiguous partition, both ends of a pair together: all traffic is
-    // intra-shard, so shards only meet at the window barrier — the
-    // embarrassingly-parallel best case the scaling bench wants to measure.
+    // intra-shard, so shards only meet at the window barrier — the best
+    // case for sharding, which the scaling bench wants to measure.
     const std::size_t shard = i * options.shards / npairs;
     auto& tx = c->tb.add_host_on(shard, "tx" + std::to_string(i), system,
                                  tuning);
@@ -63,12 +60,8 @@ void drive(Cluster& cluster, sim::SimTime warmup, sim::SimTime window) {
   for (auto& conn : cluster.conns) {
     cluster.tb.run_until_established(conn);
   }
-  // One counter per pair: each is written only by its server's shard.
-  // Sized once before arming so the element addresses stay stable.
-  cluster.pair_consumed.assign(cluster.conns.size(), 0);
-  for (std::size_t i = 0; i < cluster.conns.size(); ++i) {
-    auto& conn = cluster.conns[i];
-    auto* consumed = &cluster.pair_consumed[i];
+  auto* consumed = &cluster.consumed;
+  for (auto& conn : cluster.conns) {
     conn.server->on_consumed = [consumed](std::uint64_t b) { *consumed += b; };
     // Weak self-capture, as in bench drive_flows_gbps: a strong capture
     // would make the std::function own itself and leak.
@@ -85,8 +78,6 @@ void drive(Cluster& cluster, sim::SimTime warmup, sim::SimTime window) {
   }
   cluster.tb.run_for(warmup + window);
   for (auto& conn : cluster.conns) conn.server->on_consumed = nullptr;
-  cluster.consumed = 0;
-  for (const std::uint64_t b : cluster.pair_consumed) cluster.consumed += b;
 }
 
 std::uint64_t fingerprint(Cluster& cluster) {

@@ -1,4 +1,4 @@
-// Canonical multi-host cluster workload for the parallel engine.
+// Canonical multi-host cluster workload for the sharded engine.
 //
 // One topology definition shared by the scaling bench (bench/sim_core.cpp)
 // and the determinism suite (tests/test_parallel_engine.cpp): N hosts wired
@@ -25,9 +25,6 @@ struct Options {
   /// larger value means fatter windows and fewer barriers.
   sim::SimTime propagation = sim::usec(5);
   std::uint32_t mtu = 9000;
-  /// Worker threads for window execution (0 = engine default). Part of the
-  /// execution, not the topology: any value must give identical results.
-  unsigned threads = 0;
   /// When active, installed on every pair link with the seed decorrelated
   /// per pair (never per shard — the fault schedule is part of the workload
   /// and must not depend on the partition).
@@ -43,11 +40,8 @@ struct Cluster {
   /// Writer continuations keeping each pair's stream saturated; populated by
   /// drive(). Held here so queued completions stay valid across calls.
   std::vector<std::shared_ptr<std::function<void()>>> writers;
-  /// Bytes each pair's server app read. Per-pair (not one shared counter)
-  /// because the callbacks run on the destination's shard worker — a shared
-  /// counter would be written from every thread.
-  std::vector<std::uint64_t> pair_consumed;
-  std::uint64_t consumed = 0;  // sum of pair_consumed, filled by drive()
+  /// Bytes the server apps read, counted live while drive() runs.
+  std::uint64_t consumed = 0;
 };
 
 /// Builds the pair topology. Pairs are placed contiguously across shards

@@ -23,7 +23,6 @@ std::string trunk_name(std::size_t rack, std::size_t spine, std::size_t k) {
 Fabric::Fabric(const FabricOptions& options)
     : opt_(options), tb_(std::max<std::size_t>(1, options.shards)) {
   const std::size_t shards = std::max<std::size_t>(1, opt_.shards);
-  if (opt_.threads != 0) tb_.engine().set_threads(opt_.threads);
 
   const auto system = hw::presets::pe2650();
   auto tuning = TuningProfile::with_big_windows(opt_.mtu);

@@ -18,8 +18,8 @@
 // every spine); each spine hashes a rack's hosts over the trunks of its
 // bundle toward that rack. The hash is a pure function of (src, dst, flow)
 // and table-programming order — see EthernetSwitch::learn_group — so path
-// choice is bit-identical across reruns, shard counts, and thread counts
-// (the ECMP determinism rule).
+// choice is bit-identical across reruns and shard counts (the ECMP
+// determinism rule).
 //
 // Sharding: rack r lands on shard r % shards (hosts + ToR together, so
 // intra-rack traffic stays shard-local), spine s on shard s % shards. The
@@ -43,10 +43,12 @@ struct FabricOptions {
   std::size_t spines = 1;
   /// Parallel trunks per (rack, spine) bundle — the ECMP trunking width.
   std::size_t trunks_per_spine = 2;
-  /// Event-queue shards (>= 1; the fabric always runs the parallel engine).
+  /// Event-queue shards (>= 1; the fabric always runs the sharded engine).
   std::size_t shards = 1;
-  /// Worker threads for window execution (0 = engine default). Execution
-  /// only — any value must give identical results.
+  /// Read by nothing: the engine runs every shard on the caller's thread.
+  /// It stays only because the benchmark's perfbench/workloads.cpp assigns
+  /// it twice (make_cell() and pool_slowdown()); it goes when that file
+  /// next changes.
   unsigned threads = 0;
   std::uint32_t mtu = 9000;
   double host_rate_bps = 10e9;
@@ -118,7 +120,7 @@ class Fabric {
   void register_metrics(obs::Registry& reg) const { tb_.register_metrics(reg); }
 
   /// FNV-1a over the full registry snapshot JSON — the fleet determinism
-  /// criterion (equal across reruns, shard counts, and thread counts).
+  /// criterion (equal across reruns and shard counts).
   std::uint64_t fingerprint() const;
 
  private:

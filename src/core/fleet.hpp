@@ -10,8 +10,8 @@
 // error.
 //
 // All scheduling is per-shard (Testbed::simulator_for) and all counters are
-// single-writer, so every scenario is bit-identical across reruns, shard
-// counts, and thread counts.
+// single-writer, so every scenario is bit-identical across reruns and shard
+// counts.
 #pragma once
 
 #include <cstdint>

@@ -200,10 +200,12 @@ void Testbed::set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks) {
 }
 
 void Testbed::set_span_profiler(obs::SpanProfiler* spans) {
-  // The span profiler keeps one journey map across all components; in
-  // sharded mode that would be written from every worker thread, so the
-  // sharded testbed leaves it disarmed (classic runs are the profiling
-  // path — same model, same code, one thread).
+  // The span profiler keeps one journey map across all components. The
+  // shards run a window one after another, so in sharded mode that map
+  // would see journeys open and close in shard order: its open-journey cap
+  // and its observer's order would depend on the partition. The sharded
+  // testbed leaves it disarmed (classic runs are the profiling path — same
+  // model, same code, one queue).
   if (engine_) return;
   instruments_.front().spans = spans;
 }
@@ -211,7 +213,7 @@ void Testbed::set_span_profiler(obs::SpanProfiler* spans) {
 void Testbed::set_metric_scraper(obs::MetricScraper* scraper) {
   // Both modes: the scraper observes boundaries through the TimeHook
   // interface, which the classic simulator fires between events and the
-  // sharded engine fires at barriers — single-threaded in either case.
+  // sharded engine fires at barriers, when every shard has reached it.
   scraper_ = scraper;
   if (engine_) {
     engine_->set_time_hook(scraper);
@@ -221,7 +223,9 @@ void Testbed::set_metric_scraper(obs::MetricScraper* scraper) {
 }
 
 void Testbed::set_flow_sampler(obs::FlowSampler* sampler) {
-  // Same single-writer argument as the span profiler: classic mode only.
+  // Classic mode only: the sampler's timer runs on one queue and reads
+  // every watched endpoint, which in sharded mode would catch another
+  // shard's endpoint wherever its turn in the window left it.
   if (engine_) return;
   sampler_ = sampler;
   if (sampler != nullptr) sampler->attach(sim_);

@@ -29,7 +29,7 @@ class Testbed {
   Testbed() : instruments_(1) {}
 
   /// Sharded testbed: the topology is partitioned across `shards` event
-  /// queues advanced by the parallel engine. Components placed on different
+  /// queues advanced by the sharded engine. Components placed on different
   /// shards may only talk through links (which is all the model ever does).
   /// Results are bit-identical for any shard count.
   explicit Testbed(std::size_t shards)
@@ -179,16 +179,18 @@ class Testbed {
   // components built before the call and after it alike.
 
   /// Arms the trace sink across the whole testbed; null disarms it, so a
-  /// sink can be disarmed before it goes away. Classic mode only — a single
-  /// sink shared across shards would race; use set_shard_trace_sinks().
+  /// sink can be disarmed before it goes away. Classic mode only — the
+  /// shards run a window one after another, so a single sink shared across
+  /// them would record in shard order, and its ring would evict by it; use
+  /// set_shard_trace_sinks().
   void set_trace_sink(obs::TraceSink* sink);
   obs::TraceSink* trace_sink() const { return instruments_.front().trace; }
 
   /// Sharded tracing: one sink per shard (size must equal the shard
   /// count; empty disarms every shard). Every component records into its
-  /// own shard's sink, and each link direction into its transmitter's —
-  /// appends never cross threads. Merge the sinks with obs::merge_sorted()
-  /// for a partition-invariant view.
+  /// own shard's sink, and each link direction into its transmitter's, so
+  /// each sink records in its shard's time order. Merge the sinks with
+  /// obs::merge_sorted() for a partition-invariant view.
   void set_shard_trace_sinks(std::vector<obs::TraceSink*> sinks);
 
   /// Arms the span profiler across the whole testbed; null disarms it. The
@@ -209,12 +211,11 @@ class Testbed {
 
   /// Arms a metric scraper (null disarms) as the testbed's time hook: in
   /// classic mode it fires between events at each scrape boundary; in
-  /// sharded mode it fires at lookahead barriers, single-threaded, once
-  /// committed time reaches each boundary. Either way it schedules nothing
-  /// and only reads probes, so armed runs are bit-identical to unarmed —
-  /// executed-event counts included — for any shard/thread count. The
-  /// scraper (and the Registry it samples) must outlive the armed run or be
-  /// disarmed first.
+  /// sharded mode it fires at lookahead barriers, once committed time
+  /// reaches each boundary. Either way it schedules nothing and only reads
+  /// probes, so armed runs are bit-identical to unarmed — executed-event
+  /// counts included — for any shard count. The scraper (and the Registry
+  /// it samples) must outlive the armed run or be disarmed first.
   void set_metric_scraper(obs::MetricScraper* scraper);
   obs::MetricScraper* metric_scraper() const { return scraper_; }
 

@@ -43,9 +43,12 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
       ab_(engine.shard(shard_a), name_ + "/ab", obs_a),
       ba_(engine.shard(shard_b), name_ + "/ba", obs_b),
       script_(legacy_plan(spec)) {
-  // The two directions run on different threads, so the legacy loss plan
-  // splits into per-direction injectors with decorrelated seeds (mirroring
-  // set_fault_plan's forward/reverse split). The shared script_ stays idle.
+  // The two directions may run on different shards, which take turns
+  // through each window, so one shared RNG would be drawn in shard order and
+  // every loss would depend on the partition. The legacy loss plan
+  // therefore splits into per-direction injectors with decorrelated seeds
+  // (mirroring set_fault_plan's forward/reverse split), each drawn in its
+  // direction's transmit order. The shared script_ stays idle.
   fault::FaultPlan forward = legacy_plan(spec);
   fault::FaultPlan reverse = forward;
   reverse.seed = forward.seed ^ kReverseSeedMix;
@@ -59,8 +62,8 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
   // transmits from) and vice versa.
   ab_.channel = engine.add_channel();
   ba_.channel = engine.add_channel();
-  ab_.from_shard = ba_.to_shard = shard_a;
-  ba_.from_shard = ab_.to_shard = shard_b;
+  ab_.to_shard = shard_b;
+  ba_.to_shard = shard_a;
 }
 
 void Link::set_fault_plan(const fault::FaultPlan& plan) {
@@ -139,8 +142,8 @@ std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
   // direction's own plan. A frame the script loses never reaches the
   // directional injector — it is already off the wire. In classic mode both
   // directions share one script RNG in transmit order; sharded mode uses
-  // per-direction scripts so the draw sequence cannot depend on thread
-  // interleaving.
+  // per-direction scripts so the draw sequence cannot depend on the order
+  // the shards run in.
   const sim::SimTime now = sim.now();
   fault::FaultDecision verdict = dir.script->decide(pkt, now);
   if (!verdict.drop) {
@@ -231,7 +234,7 @@ void Link::deliver_head(Direction& dir) {
 
 void Link::post(const Direction& dir, NetDevice* sink, sim::SimTime arrival,
                 const net::Packet& pkt) {
-  engine_->post(dir.from_shard, dir.channel, dir.to_shard, arrival,
+  engine_->post(dir.channel, dir.to_shard, arrival,
                 [sink, pkt]() { sink->deliver(pkt); });
 }
 

@@ -77,11 +77,13 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///    carries the frame by value.
 ///  - Sharded: each direction lives on its transmitter's shard and takes a
 ///    channel id from the engine; it posts every delivery (same-shard ones
-///    included, so results cannot depend on the partition) into its shard's
-///    outbox, and the engine schedules it on the receiver's shard at the
-///    window barrier. All mutable per-frame state (counters, backlog, fault
-///    RNG) is per-direction, so the two shard workers never share a cache
-///    line they write.
+///    included, so results cannot depend on the partition) into the
+///    engine's outbox, and the engine schedules it on the receiver's shard
+///    at the window barrier. All mutable per-frame state (counters, backlog,
+///    fault RNG) is per-direction. For the RNG that matters: the two
+///    directions may live on different shards, which run a window one after
+///    another, so a shared RNG would be drawn in shard order, which depends
+///    on the partition, rather than in transmit order, which does not.
 ///
 /// Each direction reports into its transmitter's instrument bundle: every
 /// frame offered to the wire traces kWireTx when it serializes, or kWireDrop
@@ -201,7 +203,8 @@ class Link {
   /// Wire tap: invoked for every frame as it begins serialization (before
   /// any loss), with the direction. Some recovery tests attach here; the
   /// capture tool now rides the trace sink instead. Classic mode only — in
-  /// sharded mode the two directions run on different threads.
+  /// sharded mode it would see the two directions' frames in shard order
+  /// rather than time order.
   std::function<void(const net::Packet&, bool from_side_a)> tap;
 
   /// Registers this link's delivery and fault counters under `prefix`.
@@ -253,13 +256,14 @@ class Link {
     std::uint64_t drops_queue = 0;
     // Which legacy/scripted injector this direction consults: the shared
     // `script_` in classic mode (both directions draw from one RNG, keeping
-    // pre-fault-layer seeds bit-identical), `own_script` in sharded mode.
+    // pre-fault-layer seeds bit-identical), `own_script` in sharded mode
+    // (so the draws follow this direction's transmit order, whatever the
+    // partition).
     fault::FaultInjector* script = nullptr;
     fault::FaultInjector own_script;
     // Sharded mode: the engine channel this direction posts on, and the
-    // shards it posts from (the transmitter's) and to (the receiver's).
+    // shard it posts to (the receiver's).
     std::uint32_t channel = 0;
-    std::size_t from_shard = 0;
     std::size_t to_shard = 0;
     // Classic mode: frames on the wire in arrival order; only the head has
     // a pending event.

@@ -183,8 +183,8 @@ int EthernetSwitch::pick_port(const Route& route,
                               const net::Packet& pkt) const {
   if (route.ports.size() == 1) return route.ports.front();
   // FNV-1a over the flow identity. Depends only on packet fields and the
-  // programmed port order, so the path choice is identical across reruns,
-  // shard counts, and thread counts (the ECMP determinism rule).
+  // programmed port order, so the path choice is identical across reruns
+  // and shard counts (the ECMP determinism rule).
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {

@@ -26,9 +26,9 @@ enum class AqmMode : std::uint8_t {
 
 /// Per-port AQM configuration. All arithmetic is integer and the random
 /// draw is a per-port xorshift64* stream seeded from `seed` and the port
-/// index, so drop/mark decisions are bit-identical across reruns, shard
-/// counts, and thread counts (each switch's egress events already execute
-/// in deterministic order on its owning shard).
+/// index, so drop/mark decisions are bit-identical across reruns and shard
+/// counts (each switch's egress events execute in deterministic order on
+/// its owning shard).
 struct AqmSpec {
   AqmMode mode = AqmMode::kTailDrop;
   /// RED thresholds on the *average* queue depth in bytes: below min the
@@ -75,7 +75,7 @@ struct SwitchSpec {
 /// is picked by a deterministic hash of the frame's (src, dst, flow), so a
 /// flow always takes one path (no intra-flow reordering) and the choice
 /// depends only on packet fields and table-programming order — never on
-/// shard partitioning or thread scheduling.
+/// shard partitioning.
 class EthernetSwitch {
  public:
   /// `obs` is the bundle of the switch's shard: drops report kWireDrop with

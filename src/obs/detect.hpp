@@ -11,7 +11,7 @@
 //
 // All detectors are pure integer arithmetic over i64 points — no floats, no
 // smoothing windows with rounding, no wall-clock — so episode lists are
-// byte-identical across reruns, shard counts, and thread counts. Cause
+// byte-identical across reruns and shard counts. Cause
 // slugs deliberately reuse the fleet_doctor vocabulary ("carrier-flap",
 // "bad-cable", "incast-collapse", ...) so episodes fold directly into
 // doctor findings as timeline evidence.

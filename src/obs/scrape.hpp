@@ -9,9 +9,9 @@
 // boundary interface, which fires *between* events. The scraper schedules
 // nothing, draws no randomness, and mutates no simulation state, so an
 // armed run is bit-identical to an unarmed one — executed-event count
-// included — in classic mode and under ShardedEngine at any shard/thread
-// count (barriers are partition-invariant, so scrape boundaries and the
-// observed values are too).
+// included — in classic mode and under ShardedEngine at any shard count
+// (barriers are partition-invariant, so scrape boundaries and the observed
+// values are too).
 //
 // TimeSeriesStore keeps one delta-encoded i64 column per probe path: the
 // first point is stored absolute, every later point as (dt, dv) against its

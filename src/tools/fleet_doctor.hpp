@@ -92,8 +92,7 @@ struct Verdict {
   /// Machine-readable verdict, schema "xgbe-fleet-doctor/2" (the /1 schema
   /// lacked the per-finding timed/onset_ps/clear_ps/cleared/episodes/
   /// transient fields). Deterministic: doubles via obs::format_double,
-  /// fixed key order — byte-identical across reruns, shard counts, and
-  /// thread counts.
+  /// fixed key order — byte-identical across reruns and shard counts.
   std::string to_json() const;
 };
 

@@ -7,8 +7,8 @@
 //  - every catalogue fault, run through the same matrix, is localized to
 //    the exact component (the fabric's canonical name) with the right
 //    cause class;
-//  - verdicts are bit-identical across reruns, shard counts, and thread
-//    counts, and ECMP path choice never depends on the partition;
+//  - verdicts are bit-identical across reruns and shard counts, and ECMP
+//    path choice never depends on the partition;
 //  - overdriving the incast past the ToR port buffer collapses visibly in
 //    the per-port counters while the fleet-wide ledger stays exact.
 #include <gtest/gtest.h>
@@ -158,30 +158,25 @@ TEST(FleetDoctor, VerdictBitIdenticalAcrossPartitionsAndReruns) {
   std::string base_transcript;
   bool first = true;
   for (const std::size_t shards : {1u, 2u, 3u}) {
-    for (const unsigned threads : {1u, 4u}) {
-      FleetDoctorOptions opt;
-      opt.fabric = test_fabric(shards);
-      opt.fabric.threads = threads;
-      opt.fabric.faults.half_speed_trunk(1, 0, 0, 5e9);
-      opt.scenarios = {incast};
-      const FleetDoctorReport rep = run_fleet_doctor(opt);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-      if (first) {
-        first = false;
-        base_verdict = rep.verdict.to_json();
-        base_transcript = rep.transcript();
-        EXPECT_FALSE(rep.verdict.clean()) << rep.transcript();
-      } else {
-        EXPECT_EQ(rep.verdict.to_json(), base_verdict) << label;
-        EXPECT_EQ(rep.transcript(), base_transcript) << label;
-      }
+    FleetDoctorOptions opt;
+    opt.fabric = test_fabric(shards);
+    opt.fabric.faults.half_speed_trunk(1, 0, 0, 5e9);
+    opt.scenarios = {incast};
+    const FleetDoctorReport rep = run_fleet_doctor(opt);
+    const std::string label = "shards=" + std::to_string(shards);
+    if (first) {
+      first = false;
+      base_verdict = rep.verdict.to_json();
+      base_transcript = rep.transcript();
+      EXPECT_FALSE(rep.verdict.clean()) << rep.transcript();
+    } else {
+      EXPECT_EQ(rep.verdict.to_json(), base_verdict) << label;
+      EXPECT_EQ(rep.transcript(), base_transcript) << label;
     }
   }
   // Rerun of the base configuration: same session, same verdict.
   FleetDoctorOptions opt;
   opt.fabric = test_fabric(1);
-  opt.fabric.threads = 1;
   opt.fabric.faults.half_speed_trunk(1, 0, 0, 5e9);
   opt.scenarios = {incast};
   const FleetDoctorReport again = run_fleet_doctor(opt);

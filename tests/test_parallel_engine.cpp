@@ -1,11 +1,9 @@
-// Parallel engine determinism suite.
+// Sharded engine determinism suite.
 //
-// The sharded engine's contract is bit-identical results for any shard or
-// thread count. These tests run the canonical pair cluster (core/cluster)
-// at shard counts 1/2/4/8 — serial and with a worker pool, clean and under
-// chaos fault plans — and compare full metrics-registry fingerprints, event
-// totals, and merged per-shard traces. The TSan CI job runs this binary
-// (label `parallel`) to sweep the worker pool for races.
+// The sharded engine's contract is bit-identical results for any shard
+// count. These tests run the canonical pair cluster (core/cluster) at shard
+// counts 1/2/4/8 — clean and under chaos fault plans — and compare full
+// metrics-registry fingerprints, event totals, and merged per-shard traces.
 //
 // Set XGBE_CHAOS_SEED to decorrelate the fault plans' RNG seeds (the value
 // is XOR-folded in); the active seed is echoed on failure.
@@ -87,22 +85,6 @@ TEST(ParallelEngine, BitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ParallelEngine, BitIdenticalWithWorkerThreads) {
-  // hardware_concurrency is 1 on small CI runners, which would pick the
-  // serial path; force a real worker pool so TSan has something to watch.
-  Options opt;
-  opt.hosts = 8;
-  opt.shards = 1;
-  opt.threads = 1;
-  const RunResult base = run_cluster(opt);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    opt.shards = shards;
-    opt.threads = 4;
-    expect_identical(base, run_cluster(opt),
-                     "threads=4 shards=" + std::to_string(shards));
-  }
-}
-
 TEST(ParallelEngine, BitIdenticalUnderChaosFaultPlans) {
   Options opt;
   opt.hosts = 8;
@@ -114,7 +96,6 @@ TEST(ParallelEngine, BitIdenticalUnderChaosFaultPlans) {
   RunResult base;
   for (const std::size_t shards : kShardCounts) {
     opt.shards = shards;
-    opt.threads = shards > 1 ? 4 : 0;
     const RunResult got = run_cluster(opt);
     if (shards == 1) {
       base = got;
@@ -202,14 +183,10 @@ TEST(ParallelEngine, ArmedWatchdogIsBitIdenticalToUnarmed) {
 
   auto c = build(opt);
   auto& engine = c->tb.engine();
-  // Sum the live per-pair counters: progress functions run at barriers, so
-  // reading every shard's counter from one thread is safe by construction.
-  auto* pairs = &c->pair_consumed;
-  engine.watch_progress("consumed_bytes", [pairs]() {
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : *pairs) total += b;
-    return total;
-  });
+  // Progress functions run at barriers, where every shard has finished
+  // the window, so the live byte count is settled.
+  const std::uint64_t* consumed = &c->consumed;
+  engine.watch_progress("consumed_bytes", [consumed]() { return *consumed; });
   engine.arm_watchdog({/*interval=*/xgbe::sim::usec(200),
                        /*stalled_ticks=*/10});
   drive(*c, xgbe::sim::msec(1), xgbe::sim::msec(4));
@@ -291,56 +268,47 @@ TEST(ParallelEngine, ExchangeCommitOrderBreaksTimestampTies) {
   // Three source shards land frames on shard 0 with IDENTICAL timestamps.
   // The engine's contract: cross-shard deliveries commit in (timestamp,
   // channel id, post order) order, and channel ids follow link creation
-  // order — never submission order or thread completion order. The sends
-  // are armed in reverse shard order so submission order disagrees with
-  // the required commit order, and the sweep covers serial and pooled
-  // execution.
-  std::vector<std::vector<xgbe::net::NodeId>> orders;
-  std::vector<xgbe::net::NodeId> expected;
-  for (const unsigned threads : {0u, 4u}) {
-    xgbe::core::Testbed tb(4);
-    if (threads != 0) tb.engine().set_threads(threads);
-    const auto system = xgbe::hw::presets::pe2650();
-    const auto tuning = xgbe::core::TuningProfile::with_big_windows(9000);
-    xgbe::core::Host& rx = tb.add_host_on(0, "rx", system, tuning);
-    std::vector<xgbe::core::Host*> txs;
-    for (std::size_t s = 1; s <= 3; ++s) {
-      xgbe::core::Host& tx =
-          tb.add_host_on(s, "tx" + std::to_string(s), system, tuning);
-      xgbe::link::LinkSpec spec;
-      spec.rate_bps = 10e9;
-      spec.propagation = xgbe::sim::usec(5);
-      tb.connect(tx, rx, spec);  // creation order fixes the channel ids
-      txs.push_back(&tx);
-    }
-    expected.clear();
-    for (const auto* tx : txs) expected.push_back(tx->node());
-
-    std::vector<xgbe::net::NodeId> order;
-    rx.raw_sink = [&order](const xgbe::net::Packet& pkt) {
-      order.push_back(pkt.src);
-    };
-    for (std::size_t i = txs.size(); i-- > 0;) {
-      xgbe::core::Host* tx = txs[i];
-      xgbe::net::Packet pkt;
-      pkt.protocol = xgbe::net::Protocol::kUdp;
-      pkt.src = tx->node();
-      pkt.dst = rx.node();
-      pkt.flow = tb.next_flow();
-      pkt.payload_bytes = 1024;
-      pkt.frame_bytes = xgbe::net::udp_frame_bytes(1024);
-      tb.shard_simulator(i + 1).schedule(
-          xgbe::sim::usec(50), [tx, pkt]() { tx->raw_transmit(pkt); });
-    }
-    tb.run_for(xgbe::sim::msec(1));
-    rx.raw_sink = nullptr;
-    ASSERT_EQ(order.size(), 3u) << "threads=" << threads;
-    orders.push_back(order);
+  // order — never submission order. The sends are armed in reverse shard
+  // order so submission order disagrees with the required commit order.
+  xgbe::core::Testbed tb(4);
+  const auto system = xgbe::hw::presets::pe2650();
+  const auto tuning = xgbe::core::TuningProfile::with_big_windows(9000);
+  xgbe::core::Host& rx = tb.add_host_on(0, "rx", system, tuning);
+  std::vector<xgbe::core::Host*> txs;
+  for (std::size_t s = 1; s <= 3; ++s) {
+    xgbe::core::Host& tx =
+        tb.add_host_on(s, "tx" + std::to_string(s), system, tuning);
+    xgbe::link::LinkSpec spec;
+    spec.rate_bps = 10e9;
+    spec.propagation = xgbe::sim::usec(5);
+    tb.connect(tx, rx, spec);  // creation order fixes the channel ids
+    txs.push_back(&tx);
   }
+  std::vector<xgbe::net::NodeId> expected;
+  for (const auto* tx : txs) expected.push_back(tx->node());
+
+  std::vector<xgbe::net::NodeId> order;
+  rx.raw_sink = [&order](const xgbe::net::Packet& pkt) {
+    order.push_back(pkt.src);
+  };
+  for (std::size_t i = txs.size(); i-- > 0;) {
+    xgbe::core::Host* tx = txs[i];
+    xgbe::net::Packet pkt;
+    pkt.protocol = xgbe::net::Protocol::kUdp;
+    pkt.src = tx->node();
+    pkt.dst = rx.node();
+    pkt.flow = tb.next_flow();
+    pkt.payload_bytes = 1024;
+    pkt.frame_bytes = xgbe::net::udp_frame_bytes(1024);
+    tb.shard_simulator(i + 1).schedule(
+        xgbe::sim::usec(50), [tx, pkt]() { tx->raw_transmit(pkt); });
+  }
+  tb.run_for(xgbe::sim::msec(1));
+  rx.raw_sink = nullptr;
   // Identical frames at identical timestamps: the tie must break by channel
-  // id (link creation order), identically for every thread count.
-  EXPECT_EQ(orders[0], expected);
-  EXPECT_EQ(orders[1], expected);
+  // id (link creation order).
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ShardedEngine, CommitsInTimeChannelPostOrder) {
@@ -349,7 +317,7 @@ TEST(ShardedEngine, CommitsInTimeChannelPostOrder) {
   // shard terms, so channel order disagrees with shard order; shard 2 posts
   // twice on its channel at one instant, and shard 3 posts a later entry
   // before an earlier one. Shard 0 must run them in (time, channel, post
-  // order), serially and on a 4-thread pool.
+  // order).
   using xgbe::sim::SimTime;
   const SimTime at = xgbe::sim::usec(10);
   struct Ran {
@@ -357,45 +325,42 @@ TEST(ShardedEngine, CommitsInTimeChannelPostOrder) {
     SimTime when;
   };
   const std::vector<int> expected = {30, 10, 20, 21, 31};
-  for (const unsigned threads : {1u, 4u}) {
-    xgbe::sim::ShardedEngine engine(4);
-    engine.set_threads(threads);
-    engine.set_lookahead(xgbe::sim::usec(5));
-    std::uint32_t channel[4] = {};
-    channel[3] = engine.add_channel();
-    channel[1] = engine.add_channel();
-    channel[2] = engine.add_channel();
-    ASSERT_EQ(channel[3], 0u);
-    ASSERT_EQ(channel[1], 1u);
-    ASSERT_EQ(channel[2], 2u);
-    std::vector<Ran> ran;  // appended to by shard 0's events only
-    auto post = [&engine, &channel, &ran](std::size_t from, SimTime when,
-                                          int tag) {
-      engine.post(from, channel[from], 0, when, [&engine, &ran, tag]() {
-        ran.push_back({tag, engine.shard(0).now()});
-      });
-    };
-    engine.shard(1).schedule_at(xgbe::sim::usec(1),
-                                [&post, at]() { post(1, at, 10); });
-    engine.shard(2).schedule_at(xgbe::sim::usec(1), [&post, at]() {
-      post(2, at, 20);
-      post(2, at, 21);
+  xgbe::sim::ShardedEngine engine(4);
+  engine.set_lookahead(xgbe::sim::usec(5));
+  std::uint32_t channel[4] = {};
+  channel[3] = engine.add_channel();
+  channel[1] = engine.add_channel();
+  channel[2] = engine.add_channel();
+  ASSERT_EQ(channel[3], 0u);
+  ASSERT_EQ(channel[1], 1u);
+  ASSERT_EQ(channel[2], 2u);
+  std::vector<Ran> ran;  // appended to by shard 0's events only
+  auto post = [&engine, &channel, &ran](std::size_t from, SimTime when,
+                                        int tag) {
+    engine.post(channel[from], 0, when, [&engine, &ran, tag]() {
+      ran.push_back({tag, engine.shard(0).now()});
     });
-    engine.shard(3).schedule_at(xgbe::sim::usec(1), [&post, at]() {
-      post(3, at + 1, 31);
-      post(3, at, 30);
-    });
-    engine.run();
-    std::vector<int> tags;
-    for (const Ran& r : ran) tags.push_back(r.tag);
-    EXPECT_EQ(tags, expected) << "threads=" << threads;
-    ASSERT_EQ(ran.size(), expected.size()) << "threads=" << threads;
-    for (const Ran& r : ran) {
-      EXPECT_EQ(r.when, r.tag == 31 ? at + 1 : at) << "tag=" << r.tag;
-    }
-    EXPECT_EQ(engine.exchanged(), expected.size());
-    EXPECT_EQ(engine.shard(0).executed_events(), expected.size());
+  };
+  engine.shard(1).schedule_at(xgbe::sim::usec(1),
+                              [&post, at]() { post(1, at, 10); });
+  engine.shard(2).schedule_at(xgbe::sim::usec(1), [&post, at]() {
+    post(2, at, 20);
+    post(2, at, 21);
+  });
+  engine.shard(3).schedule_at(xgbe::sim::usec(1), [&post, at]() {
+    post(3, at + 1, 31);
+    post(3, at, 30);
+  });
+  engine.run();
+  std::vector<int> tags;
+  for (const Ran& r : ran) tags.push_back(r.tag);
+  EXPECT_EQ(tags, expected);
+  ASSERT_EQ(ran.size(), expected.size());
+  for (const Ran& r : ran) {
+    EXPECT_EQ(r.when, r.tag == 31 ? at + 1 : at) << "tag=" << r.tag;
   }
+  EXPECT_EQ(engine.exchanged(), expected.size());
+  EXPECT_EQ(engine.shard(0).executed_events(), expected.size());
 }
 
 }  // namespace

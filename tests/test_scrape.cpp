@@ -4,9 +4,9 @@
 // The contract under test:
 //  - arming a scraper perturbs NOTHING: an armed run is bit-identical to an
 //    unarmed one — executed-event counts included — in classic mode and
-//    under ShardedEngine at shard counts {1,2,4} and several thread counts;
+//    under ShardedEngine at shard counts {1,2,4};
 //  - the scraped series themselves are deterministic: identical across
-//    reruns, shard counts, and thread counts (store fingerprint equality);
+//    reruns and shard counts (store fingerprint equality);
 //  - the ring bound evicts oldest-first by folding deltas into the base, so
 //    the retained tail decodes exactly and eviction is deterministic;
 //  - the detectors pin a seeded flapping trunk's carrier-flap episodes
@@ -232,14 +232,13 @@ TEST(MetricScraper, ClassicScrapeIsRerunDeterministic) {
 // ---------------------------------------------------------------------------
 // Armed == unarmed under ShardedEngine, any partition
 
-core::FabricOptions incast_fabric(std::size_t shards, unsigned threads) {
+core::FabricOptions incast_fabric(std::size_t shards) {
   core::FabricOptions o;
   o.racks = 2;
   o.hosts_per_rack = 3;
   o.spines = 1;
   o.trunks_per_spine = 2;
   o.shards = shards;
-  o.threads = threads;
   o.tor_port_buffer_bytes = 48 * 1024;  // overdriven: drops to scrape
   o.host_propagation = sim::usec(10);
   o.trunk_propagation = sim::usec(20);
@@ -255,8 +254,8 @@ struct FleetOutcome {
   std::uint64_t scrape_points = 0;
 };
 
-FleetOutcome run_incast(std::size_t shards, unsigned threads, bool armed) {
-  core::Fabric fabric(incast_fabric(shards, threads));
+FleetOutcome run_incast(std::size_t shards, bool armed) {
+  core::Fabric fabric(incast_fabric(shards));
   fleet::Options opt;
   opt.scenario = fleet::Scenario::kIncast;
   opt.incast_bytes = 64 * 1024;
@@ -293,24 +292,21 @@ TEST(MetricScraper, ArmedShardedRunIsBitIdenticalToUnarmed) {
   std::uint64_t base_fabric_fp = 0;
   bool first = true;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (const unsigned threads : {1u, 4u}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-      const FleetOutcome unarmed = run_incast(shards, threads, false);
-      const FleetOutcome armed = run_incast(shards, threads, true);
-      EXPECT_EQ(armed.executed, unarmed.executed) << label;
-      EXPECT_EQ(armed.fingerprint, unarmed.fingerprint) << label;
-      EXPECT_EQ(armed.bytes, unarmed.bytes) << label;
-      EXPECT_EQ(armed.completed, unarmed.completed) << label;
-      EXPECT_GT(armed.scrape_points, 0u) << label;
-      if (first) {
-        first = false;
-        base_scrape_fp = armed.scrape_fp;
-        base_fabric_fp = armed.fingerprint;
-      } else {
-        EXPECT_EQ(armed.scrape_fp, base_scrape_fp) << label;
-        EXPECT_EQ(armed.fingerprint, base_fabric_fp) << label;
-      }
+    const std::string label = "shards=" + std::to_string(shards);
+    const FleetOutcome unarmed = run_incast(shards, false);
+    const FleetOutcome armed = run_incast(shards, true);
+    EXPECT_EQ(armed.executed, unarmed.executed) << label;
+    EXPECT_EQ(armed.fingerprint, unarmed.fingerprint) << label;
+    EXPECT_EQ(armed.bytes, unarmed.bytes) << label;
+    EXPECT_EQ(armed.completed, unarmed.completed) << label;
+    EXPECT_GT(armed.scrape_points, 0u) << label;
+    if (first) {
+      first = false;
+      base_scrape_fp = armed.scrape_fp;
+      base_fabric_fp = armed.fingerprint;
+    } else {
+      EXPECT_EQ(armed.scrape_fp, base_scrape_fp) << label;
+      EXPECT_EQ(armed.fingerprint, base_fabric_fp) << label;
     }
   }
 }
@@ -508,7 +504,7 @@ TEST(MetricScraper, PlanMatchesPerBoundarySnapshotOnClassicTestbed) {
 TEST(MetricScraper, PlanMatchesPerBoundarySnapshotOnShardedIncast) {
   for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const PlanCase& c : plan_cases("shards=" + std::to_string(shards))) {
-      core::Fabric fabric(incast_fabric(shards, /*threads=*/1));
+      core::Fabric fabric(incast_fabric(shards));
       obs::Registry reg;
       fabric.register_metrics(reg);
       ScrapeOptions so;
@@ -544,7 +540,7 @@ TEST(Detect, FlappingTrunkEpisodesPinnedToFaultWindow) {
   // flap counter increments lazily, on the first frame a down carrier
   // drops. At a 1 ms scrape cadence the first flap lands on the 6 ms
   // boundary and every carrier-flap onset stays inside [5, 37] ms.
-  core::FabricOptions fopt = incast_fabric(/*shards=*/2, /*threads=*/0);
+  core::FabricOptions fopt = incast_fabric(/*shards=*/2);
   fopt.faults.flapping_trunk(/*rack=*/1, /*spine=*/0, /*trunk=*/0);
   fopt.faults.flapping_trunk(/*rack=*/1, /*spine=*/0, /*trunk=*/1);
   core::Fabric fabric(fopt);
@@ -607,7 +603,7 @@ TEST(FleetDoctorTimeline, FlapFindingCarriesOnsetAndTransient) {
   // Timeline mode pins the *when*: the carrier-flap finding must carry an
   // onset inside the plan's flap window [5, 37] ms and classify the flap as
   // transient (it cleared and recurred). The /2 verdict JSON must be
-  // byte-identical across reruns, shard counts, and thread counts.
+  // byte-identical across reruns and shard counts.
   fleet::Options incast;
   incast.scenario = fleet::Scenario::kIncast;
   // Rounds every 2.5 ms: rounds 2, 6, 10, 14 fire at ~5, 15, 25, 35 ms —
@@ -619,43 +615,39 @@ TEST(FleetDoctorTimeline, FlapFindingCarriesOnsetAndTransient) {
   std::string base_json;
   bool first = true;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (const unsigned threads : {1u, 4u}) {
-      tools::FleetDoctorOptions opt;
-      opt.fabric = incast_fabric(shards, threads);
-      opt.fabric.faults.flapping_trunk(1, 0, 0);
-      opt.fabric.faults.flapping_trunk(1, 0, 1);
-      opt.scenarios = {incast};
-      opt.scrape_period = sim::msec(1);
-      const tools::FleetDoctorReport rep = tools::run_fleet_doctor(opt);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
+    tools::FleetDoctorOptions opt;
+    opt.fabric = incast_fabric(shards);
+    opt.fabric.faults.flapping_trunk(1, 0, 0);
+    opt.fabric.faults.flapping_trunk(1, 0, 1);
+    opt.scenarios = {incast};
+    opt.scrape_period = sim::msec(1);
+    const tools::FleetDoctorReport rep = tools::run_fleet_doctor(opt);
+    const std::string label = "shards=" + std::to_string(shards);
 
-      ASSERT_FALSE(rep.verdict.clean()) << label << "\n" << rep.transcript();
-      const tools::Finding* flap = nullptr;
-      for (const auto& f : rep.verdict.findings) {
-        if (f.cause == "carrier-flap") {
-          flap = &f;
-          break;
-        }
+    ASSERT_FALSE(rep.verdict.clean()) << label << "\n" << rep.transcript();
+    const tools::Finding* flap = nullptr;
+    for (const auto& f : rep.verdict.findings) {
+      if (f.cause == "carrier-flap") {
+        flap = &f;
+        break;
       }
-      ASSERT_NE(flap, nullptr) << label << "\n" << rep.verdict.render();
-      EXPECT_TRUE(flap->timed) << label;
-      EXPECT_GE(flap->onset, sim::msec(5)) << label;
-      EXPECT_LE(flap->onset, sim::msec(37)) << label;
-      EXPECT_TRUE(flap->transient)
-          << label << "\n" << rep.verdict.render();
-      EXPECT_GT(flap->episodes, 1u) << label;
+    }
+    ASSERT_NE(flap, nullptr) << label << "\n" << rep.verdict.render();
+    EXPECT_TRUE(flap->timed) << label;
+    EXPECT_GE(flap->onset, sim::msec(5)) << label;
+    EXPECT_LE(flap->onset, sim::msec(37)) << label;
+    EXPECT_TRUE(flap->transient) << label << "\n" << rep.verdict.render();
+    EXPECT_GT(flap->episodes, 1u) << label;
 
-      const std::string json = rep.verdict.to_json();
-      EXPECT_NE(json.find("\"schema\":\"xgbe-fleet-doctor/2\""),
-                std::string::npos)
-          << json;
-      if (first) {
-        first = false;
-        base_json = json;
-      } else {
-        EXPECT_EQ(json, base_json) << label;
-      }
+    const std::string json = rep.verdict.to_json();
+    EXPECT_NE(json.find("\"schema\":\"xgbe-fleet-doctor/2\""),
+              std::string::npos)
+        << json;
+    if (first) {
+      first = false;
+      base_json = json;
+    } else {
+      EXPECT_EQ(json, base_json) << label;
     }
   }
 }

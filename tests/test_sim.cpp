@@ -864,7 +864,6 @@ TEST(ClockMarks, ShardedWindowsMatchEmptyEvents) {
         : engine(2),
           hook({&engine.shard(0), &engine.shard(1)}, 13) {
       engine.set_lookahead(9);
-      engine.set_threads(1);
       engine.set_time_hook(&hook);
       for (std::size_t i = 0; i < 2; ++i) {
         programs.push_back(std::make_unique<MarkProgram>(
