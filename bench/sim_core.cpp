@@ -1,13 +1,9 @@
 // Event-core microbenchmark: schedule/fire/cancel mixes on the indexed-heap
 // EventQueue, reported as events/sec (items_per_second in the output).
 //
-// Each workload also runs against `SeedQueue`, a faithful replica of the
-// seed tree's implementation (std::priority_queue + lazy cancellation via a
-// re-sorted vector, std::function callbacks), so the speedup is tracked in
-// the bench trajectory. The headline workload is TimerChurn, modeled on the
-// TCP endpoint's pattern: almost every scheduled retransmit timer is
-// cancelled and re-armed before it fires, which is exactly where the seed's
-// sort-per-cancel went quadratic.
+// The headline workload is TimerChurn, modeled on the TCP endpoint's
+// pattern: almost every scheduled retransmit timer is cancelled and re-armed
+// before it fires.
 // The multi-host scaling mode (SimCore_Cluster) measures the sharded
 // engine on the canonical pair cluster: whole-simulation events/sec at
 // 1..512 hosts for shard counts {1, 2, 8}, plus the deterministic counters
@@ -18,12 +14,9 @@
 // recorded so a reader can compare machines.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -35,82 +28,14 @@
 
 namespace {
 
+using xgbe::sim::EventQueue;
 using xgbe::sim::SimTime;
 
-// --- Seed-tree EventQueue replica (the "before" measurement) ---------------
-
-class SeedQueue {
- public:
-  using Callback = std::function<void()>;
-  struct Id {
-    std::uint64_t seq = 0;
-  };
-
-  Id schedule(SimTime at, Callback cb) {
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Entry{at, seq, std::move(cb)});
-    ++live_;
-    return Id{seq};
-  }
-
-  void cancel(Id id) {
-    if (id.seq == 0 || id.seq >= next_seq_) return;
-    if (std::binary_search(cancelled_.begin(), cancelled_.end(), id.seq)) {
-      return;
-    }
-    cancelled_.push_back(id.seq);
-    std::sort(cancelled_.begin(), cancelled_.end());
-    if (live_ > 0) --live_;
-  }
-
-  bool empty() const { return live_ == 0; }
-
-  struct Fired {
-    SimTime time;
-    Callback cb;
-  };
-  Fired pop() {
-    drop_cancelled();
-    auto& top = const_cast<Entry&>(heap_.top());
-    Fired fired{top.time, std::move(top.cb)};
-    heap_.pop();
-    --live_;
-    return fired;
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;
-    Callback cb;
-    bool operator>(const Entry& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
-  };
-
-  void drop_cancelled() {
-    while (!heap_.empty()) {
-      auto it = std::lower_bound(cancelled_.begin(), cancelled_.end(),
-                                 heap_.top().seq);
-      if (it == cancelled_.end() || *it != heap_.top().seq) break;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::vector<std::uint64_t> cancelled_;
-  std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
-};
-
-// --- Workloads (templated over the queue implementation) -------------------
+// --- Workloads --------------------------------------------------------------
 
 // Pure schedule+fire: random arrival times, no cancellation.
-template <typename Q>
 std::uint64_t schedule_fire(int n) {
-  Q q;
+  EventQueue q;
   xgbe::sim::Rng rng(7);
   std::uint64_t fired = 0;
   auto tick = [&fired] { ++fired; };
@@ -127,20 +52,17 @@ std::uint64_t schedule_fire(int n) {
 // Timer churn, modeled on the TCP endpoint: each step delivers one imminent
 // "segment" event, re-arms a far-future retransmit timer (cancelling the
 // previous one — the timer almost never fires), and pops one event.
-template <typename Q>
 std::uint64_t timer_churn(int steps) {
-  Q q;
+  EventQueue q;
   xgbe::sim::Rng rng(42);
   SimTime now = 0;
   std::uint64_t fired = 0;
   auto tick = [&fired] { ++fired; };
-  decltype(q.schedule(0, tick)) rto{};
-  bool armed = false;
+  xgbe::sim::EventId rto{};
   for (int i = 0; i < steps; ++i) {
     q.schedule(now + 1000 + static_cast<SimTime>(rng.next_below(500)), tick);
-    if (armed) q.cancel(rto);
+    q.cancel(rto);
     rto = q.schedule(now + xgbe::sim::usec(200), tick);
-    armed = true;
     auto f = q.pop();
     now = f.time;
     if (f.cb) f.cb();
@@ -153,14 +75,13 @@ std::uint64_t timer_churn(int steps) {
 }
 
 // Mixed randomized schedule/cancel/pop traffic (the stress-test shape).
-template <typename Q>
 std::uint64_t mixed(int ops) {
-  Q q;
+  EventQueue q;
   xgbe::sim::Rng rng(1234);
   SimTime now = 0;
   std::uint64_t fired = 0;
   auto tick = [&fired] { ++fired; };
-  std::vector<decltype(q.schedule(0, tick))> live;
+  std::vector<xgbe::sim::EventId> live;
   for (int i = 0; i < ops; ++i) {
     const std::uint64_t roll = rng.next_below(100);
     if (roll < 55 || q.empty()) {
@@ -193,24 +114,9 @@ void run(benchmark::State& state) {
   state.counters["fired"] = static_cast<double>(fired);
 }
 
-void SimCore_ScheduleFire_Indexed(benchmark::State& s) {
-  run<&schedule_fire<xgbe::sim::EventQueue>>(s);
-}
-void SimCore_ScheduleFire_Seed(benchmark::State& s) {
-  run<&schedule_fire<SeedQueue>>(s);
-}
-void SimCore_TimerChurn_Indexed(benchmark::State& s) {
-  run<&timer_churn<xgbe::sim::EventQueue>>(s);
-}
-void SimCore_TimerChurn_Seed(benchmark::State& s) {
-  run<&timer_churn<SeedQueue>>(s);
-}
-void SimCore_Mixed_Indexed(benchmark::State& s) {
-  run<&mixed<xgbe::sim::EventQueue>>(s);
-}
-void SimCore_Mixed_Seed(benchmark::State& s) {
-  run<&mixed<SeedQueue>>(s);
-}
+void SimCore_ScheduleFire(benchmark::State& s) { run<&schedule_fire>(s); }
+void SimCore_TimerChurn(benchmark::State& s) { run<&timer_churn>(s); }
+void SimCore_Mixed(benchmark::State& s) { run<&mixed>(s); }
 
 // --- Multi-host scaling on the sharded engine ------------------------------
 
@@ -284,12 +190,9 @@ void SimCore_Cluster(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(SimCore_ScheduleFire_Indexed)->Arg(1 << 16);
-BENCHMARK(SimCore_ScheduleFire_Seed)->Arg(1 << 16);
-BENCHMARK(SimCore_TimerChurn_Indexed)->Arg(1 << 14);
-BENCHMARK(SimCore_TimerChurn_Seed)->Arg(1 << 14);
-BENCHMARK(SimCore_Mixed_Indexed)->Arg(1 << 16);
-BENCHMARK(SimCore_Mixed_Seed)->Arg(1 << 16);
+BENCHMARK(SimCore_ScheduleFire)->Arg(1 << 16);
+BENCHMARK(SimCore_TimerChurn)->Arg(1 << 14);
+BENCHMARK(SimCore_Mixed)->Arg(1 << 16);
 BENCHMARK(SimCore_Cluster)
     ->ArgsProduct({{1, 8, 64, 512}, {1, 2, 8}})
     ->Unit(benchmark::kMillisecond)

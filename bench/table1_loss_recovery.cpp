@@ -90,7 +90,7 @@ void Table1_LiveValidation(benchmark::State& state) {
       }
     };
     const xgbe::sim::SimTime dropped_at = tb.now();
-    circuits[0]->inject_drops(1);
+    circuits[0]->fault_injector(/*from_a=*/true).inject_drops(1);
     tb.run_for(xgbe::sim::from_seconds(3.0 * predicted_s + 3.0));
 
     measured_s = (*halved_at >= 0 && *recovered_at >= 0)

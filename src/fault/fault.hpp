@@ -24,7 +24,7 @@ namespace xgbe::fault {
 /// Why a frame was dropped (per-cause counters and capture annotations).
 enum class DropCause : std::uint8_t {
   kNone,
-  kForced,     // scripted inject_drops()
+  kForced,     // FaultInjector::inject_drops()
   kUniform,    // independent per-frame loss
   kBurst,      // Gilbert–Elliott bad-state loss
   kCarrier,    // link flap: carrier down
@@ -113,8 +113,8 @@ struct FaultPlan {
   FaultPlan& only_data() { data_only = true; return *this; }
 };
 
-/// Per-device fault tally, printable through tools::fault_summary so bench
-/// output shows *why* throughput degraded.
+/// Per-device fault tally, printable through describe() so bench output
+/// shows *why* throughput degraded.
 struct FaultCounters {
   std::uint64_t frames_seen = 0;
   std::uint64_t drops_forced = 0;
@@ -146,8 +146,8 @@ struct FaultDecision {
 
 /// Runtime a device hosts. decide() is called once per frame in transmit
 /// order; the RNG is consulted only for faults the plan actually enables,
-/// so an inactive (or loss-only) injector reproduces the draw sequence of
-/// the pre-fault-layer loss knob exactly.
+/// so a loss-only plan draws exactly one chance(loss_rate) per eligible
+/// frame and its seed alone fixes which frames it loses.
 class FaultInjector {
  public:
   FaultInjector() : FaultInjector(FaultPlan{}) {}
@@ -162,8 +162,7 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
   /// Scripted: lose the next `n` data-carrying frames (payload > 0). The
-  /// Table 1 single-loss experiments and the deprecated Link::inject_drops
-  /// shim ride this.
+  /// Table 1 single-loss experiment forces its one loss this way.
   void inject_drops(int n) { forced_drops_ += n; }
   int pending_forced_drops() const { return forced_drops_; }
 

@@ -11,14 +11,7 @@ namespace xgbe::link {
 
 namespace {
 
-fault::FaultPlan legacy_plan(const LinkSpec& spec) {
-  fault::FaultPlan plan;
-  plan.seed = spec.loss_seed;
-  plan.loss_rate = spec.loss_rate;
-  return plan;
-}
-
-// Reverse-direction decorrelation constant, same as set_fault_plan().
+// Reverse-direction seed decorrelation for set_fault_plan(plan).
 constexpr std::uint64_t kReverseSeedMix = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace
@@ -28,11 +21,7 @@ Link::Link(sim::Simulator& simulator, const LinkSpec& spec, std::string name,
     : spec_(spec),
       name_(std::move(name)),
       ab_(simulator, name_ + "/ab", obs),
-      ba_(simulator, name_ + "/ba", obs),
-      script_(legacy_plan(spec)) {
-  ab_.script = &script_;
-  ba_.script = &script_;
-}
+      ba_(simulator, name_ + "/ba", obs) {}
 
 Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
            std::size_t shard_b, const LinkSpec& spec, std::string name,
@@ -41,21 +30,7 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
       name_(std::move(name)),
       engine_(&engine),
       ab_(engine.shard(shard_a), name_ + "/ab", obs_a),
-      ba_(engine.shard(shard_b), name_ + "/ba", obs_b),
-      script_(legacy_plan(spec)) {
-  // The two directions may run on different shards, which take turns
-  // through each window, so one shared RNG would be drawn in shard order and
-  // every loss would depend on the partition. The legacy loss plan
-  // therefore splits into per-direction injectors with decorrelated seeds
-  // (mirroring set_fault_plan's forward/reverse split), each drawn in its
-  // direction's transmit order. The shared script_ stays idle.
-  fault::FaultPlan forward = legacy_plan(spec);
-  fault::FaultPlan reverse = forward;
-  reverse.seed = forward.seed ^ kReverseSeedMix;
-  ab_.own_script.set_plan(forward);
-  ba_.own_script.set_plan(reverse);
-  ab_.script = &ab_.own_script;
-  ba_.script = &ba_.own_script;
+      ba_(engine.shard(shard_b), name_ + "/ba", obs_b) {
   // Every delivery — same-shard ones included, so results cannot depend on
   // where hosts landed — is posted for the engine to commit at the barrier.
   // The destination of a->b traffic is the B side's shard (where ba_
@@ -67,22 +42,20 @@ Link::Link(sim::ShardedEngine& engine, std::size_t shard_a,
 }
 
 void Link::set_fault_plan(const fault::FaultPlan& plan) {
-  fault_ab_.set_plan(plan);
+  ab_.fault.set_plan(plan);
   fault::FaultPlan reverse = plan;
   reverse.seed = plan.seed ^ kReverseSeedMix;
-  fault_ba_.set_plan(reverse);
+  ba_.fault.set_plan(reverse);
 }
 
 void Link::set_fault_plan(const fault::FaultPlan& plan, bool from_a) {
-  (from_a ? fault_ab_ : fault_ba_).set_plan(plan);
+  (from_a ? ab_ : ba_).fault.set_plan(plan);
 }
 
 fault::FaultCounters Link::fault_counters() const {
-  fault::FaultCounters total = script_.counters();
-  total += ab_.own_script.counters();
-  total += ba_.own_script.counters();
-  total += fault_ab_.counters();
-  total += fault_ba_.counters();
+  fault::FaultCounters total = ab_.fault.counters();
+  total += ba_.fault.counters();
+  total.frames_seen += ab_.offered + ba_.offered;
   return total;
 }
 
@@ -137,29 +110,11 @@ std::optional<sim::Simulator::Mark> Link::transmit(const NetDevice* from,
   const sim::Simulator::Mark done =
       dir.pipe.submit_mark(serialization_time(pkt));
   dir.serializing.push_back(Serializing{done, pkt.frame_bytes});
+  ++dir.offered;
 
-  // Scripted/legacy injector first (forced drops + LinkSpec loss), then the
-  // direction's own plan. A frame the script loses never reaches the
-  // directional injector — it is already off the wire. In classic mode both
-  // directions share one script RNG in transmit order; sharded mode uses
-  // per-direction scripts so the draw sequence cannot depend on the order
-  // the shards run in.
   const sim::SimTime now = sim.now();
-  fault::FaultDecision verdict = dir.script->decide(pkt, now);
-  if (!verdict.drop) {
-    fault::FaultInjector& dir_fault = forward ? fault_ab_ : fault_ba_;
-    if (dir_fault.active()) {
-      const fault::FaultDecision extra = dir_fault.decide(pkt, now);
-      if (extra.drop) {
-        verdict = extra;
-      } else {
-        verdict.corrupt = verdict.corrupt || extra.corrupt;
-        verdict.duplicate = extra.duplicate;
-        verdict.extra_delay = extra.extra_delay;
-        verdict.duplicate_delay = extra.duplicate_delay;
-      }
-    }
-  }
+  fault::FaultDecision verdict;
+  if (dir.fault.active()) verdict = dir.fault.decide(pkt, now);
   // One trace event per frame, emitted after the verdict so drops carry
   // their cause. The sink consumes no randomness, so emission position
   // cannot perturb the fault RNG sequence.
@@ -245,7 +200,7 @@ void Link::register_metrics(obs::Registry& reg,
   reg.counter(prefix + "/bytes_delivered",
               [this] { return bytes_delivered(); });
   reg.counter(prefix + "/drops_queue", [this] { return drops_queue(); });
-  // Aggregate of the scripted injector and both directional injectors.
+  // Both directions' fault counters (fault_counters()).
   auto field = [&](const char* name,
                    std::uint64_t fault::FaultCounters::* member) {
     reg.counter(prefix + "/fault/" + name,

@@ -12,7 +12,6 @@
 #include "net/packet.hpp"
 #include "obs/instruments.hpp"
 #include "sim/block_fifo.hpp"
-#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
@@ -38,9 +37,6 @@ struct LinkSpec {
   /// Transmit-queue capacity per direction, bytes. 0 = unbounded (a host
   /// NIC never overruns its own wire; router circuits set a real limit).
   std::uint32_t queue_limit_bytes = 0;
-  /// Independent random frame-loss probability (bit errors etc.).
-  double loss_rate = 0.0;
-  std::uint64_t loss_seed = 0x5eedULL;
   /// Opt-in per-direction observability: register_metrics() additionally
   /// exposes each direction's delivery/drop counters, backlog high-water
   /// marks, and the configured line rate (the "negotiated speed" a fleet
@@ -55,7 +51,7 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 
 /// Two independent serialization pipes (full duplex — 10GbE has no
 /// half-duplex mode) with propagation delay, optional queue limit (tail
-/// drop), and optional random loss.
+/// drop), and one fault injector per direction (set_fault_plan()).
 ///
 /// A frame's serialization is a job without a continuation on its
 /// direction's serializer Resource, so its completion is a clock mark, not
@@ -79,11 +75,14 @@ inline constexpr std::uint32_t kPosFrameOverheadBytes = 9;
 ///    channel id from the engine; it posts every delivery (same-shard ones
 ///    included, so results cannot depend on the partition) into the
 ///    engine's outbox, and the engine schedules it on the receiver's shard
-///    at the window barrier. All mutable per-frame state (counters, backlog,
-///    fault RNG) is per-direction. For the RNG that matters: the two
-///    directions may live on different shards, which run a window one after
-///    another, so a shared RNG would be drawn in shard order, which depends
-///    on the partition, rather than in transmit order, which does not.
+///    at the window barrier.
+///
+/// All mutable per-frame state (counters, backlog, fault injector) is
+/// per-direction, in both modes, so a direction's fault RNG is drawn in its
+/// transmit order. A sharded link needs that: its two directions may live
+/// on different shards, which run a window one after another, so a shared
+/// RNG would be drawn in shard order, which depends on the partition. The
+/// modes differ only in delivery (the ring against the engine's outbox).
 ///
 /// Each direction reports into its transmitter's instrument bundle: every
 /// frame offered to the wire traces kWireTx when it serializes, or kWireDrop
@@ -144,11 +143,6 @@ class Link {
   std::uint32_t peak_backlog(bool from_a) const {
     return (from_a ? ab_ : ba_).peak_backlog;
   }
-  std::uint64_t drops_random() const {
-    return script_.counters().drops_uniform +
-           ab_.own_script.counters().drops_uniform +
-           ba_.own_script.counters().drops_uniform;
-  }
 
   // --- Fault injection ------------------------------------------------------
   /// Installs `plan` on both directions (the reverse direction gets a
@@ -160,32 +154,23 @@ class Link {
   /// tests black-hole ACKs without touching the data path.
   void set_fault_plan(const fault::FaultPlan& plan, bool from_a);
 
+  /// The direction's one injector (a->b when from_a). transmit() consults
+  /// it only while it is active: a plan is installed, or forced drops
+  /// (inject_drops) are pending.
   fault::FaultInjector& fault_injector(bool from_a) {
-    return from_a ? fault_ab_ : fault_ba_;
+    return (from_a ? ab_ : ba_).fault;
   }
   const fault::FaultInjector& fault_injector(bool from_a) const {
-    return from_a ? fault_ab_ : fault_ba_;
+    return (from_a ? ab_ : ba_).fault;
   }
 
-  /// Aggregate of the scripted/legacy injector and both directions.
+  /// Sum of both directions' counters, except `frames_seen`, which adds
+  /// every frame the queue limit accepted (in either direction) to the
+  /// frames the two injectors decided. A direction with an active plan
+  /// therefore counts each of its frames twice. The registry snapshots and
+  /// benchmark digests recorded so far pin that sum, so it stays until
+  /// they are re-recorded.
   fault::FaultCounters fault_counters() const;
-
-  /// Deprecated shim: forces the next `n` data-carrying frames (payload >
-  /// 0) to be lost, whichever direction offers them first. The Table 1
-  /// loss-recovery experiments predate the fault layer and still call
-  /// this; new code should use fault_injector(from_a).inject_drops(n).
-  /// Sharded links apply the drops to the a->b direction (the two
-  /// directions no longer share an injector there).
-  void inject_drops(int n) {
-    (engine_ != nullptr ? ab_.own_script : script_).inject_drops(n);
-  }
-
-  std::uint64_t drops_forced() const {
-    return script_.counters().drops_forced +
-           ab_.own_script.counters().drops_forced +
-           ba_.own_script.counters().drops_forced +
-           fault_ab_.counters().drops_forced + fault_ba_.counters().drops_forced;
-  }
 
   /// Bytes occupying the wire for one frame under this link's framing.
   std::uint32_t occupancy_bytes(const net::Packet& pkt) const;
@@ -254,13 +239,9 @@ class Link {
     std::uint64_t frames = 0;
     std::uint64_t bytes = 0;
     std::uint64_t drops_queue = 0;
-    // Which legacy/scripted injector this direction consults: the shared
-    // `script_` in classic mode (both directions draw from one RNG, keeping
-    // pre-fault-layer seeds bit-identical), `own_script` in sharded mode
-    // (so the draws follow this direction's transmit order, whatever the
-    // partition).
-    fault::FaultInjector* script = nullptr;
-    fault::FaultInjector own_script;
+    // Frames the queue limit accepted (see fault_counters()).
+    std::uint64_t offered = 0;
+    fault::FaultInjector fault;
     // Sharded mode: the engine channel this direction posts on, and the
     // shard it posts to (the receiver's).
     std::uint32_t channel = 0;
@@ -287,14 +268,6 @@ class Link {
   NetDevice* b_ = nullptr;
   Direction ab_;
   Direction ba_;
-  // Shared by both directions in classic mode, like the pre-fault-layer
-  // loss knob: carries the LinkSpec loss_rate/loss_seed plan plus deprecated
-  // forced drops, and consumes RNG draws in transmit order so legacy seeds
-  // stay bit-identical. Unused (counters all zero) in sharded mode.
-  fault::FaultInjector script_;
-  // Per-direction plans installed through set_fault_plan().
-  fault::FaultInjector fault_ab_;
-  fault::FaultInjector fault_ba_;
 };
 
 }  // namespace xgbe::link

@@ -69,17 +69,6 @@ std::string format_frame(sim::SimTime at, const net::Packet& pkt) {
       obs::packet_event(obs::EventType::kWireTx, at, pkt));
 }
 
-std::string fault_summary(const link::Link& wire) {
-  const fault::FaultCounters c = wire.fault_counters();
-  std::string line = wire.name() + ": " + fault::describe(c);
-  if (wire.drops_queue() > 0) {
-    line += ", " + std::to_string(wire.drops_queue()) + " queue drops";
-  }
-  const fault::FaultPlan& ab = wire.fault_injector(true).plan();
-  if (ab.active()) line += " [plan: " + fault::describe(ab) + "]";
-  return line;
-}
-
 Capture::Capture(core::Testbed& testbed, const CaptureOptions& options)
     : tb_(testbed), options_(options), sink_(/*capacity=*/1) {
   sink_.filter = [this](const obs::TraceEvent& ev) {

@@ -41,12 +41,6 @@ std::string format_wire_event(const obs::TraceEvent& ev);
 /// Formats one frame directly (builds the trace event internally).
 std::string format_frame(sim::SimTime at, const net::Packet& pkt);
 
-/// One-line fault report for a link, `netstat -i`-style: the plan in force
-/// plus cumulative per-cause counters (scripted injector + both directions
-/// + queue tail drops). Bench output uses it to show *why* a lossy run
-/// degraded.
-std::string fault_summary(const link::Link& wire);
-
 class Capture {
  public:
   explicit Capture(core::Testbed& testbed, const CaptureOptions& options = {});

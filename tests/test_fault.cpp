@@ -76,9 +76,10 @@ TEST(FaultInjector, InactivePlanTouchesNothing) {
 }
 
 TEST(FaultInjector, LossOnlyPlanMatchesRawRngDrawSequence) {
-  // The Link's legacy loss knob relied on one chance(loss_rate) draw per
-  // frame; a loss-only plan must reproduce that sequence exactly so
-  // pre-fault-layer seeds keep their traces.
+  // A loss-only plan draws one chance(loss_rate) per frame and nothing
+  // else, so its seed alone fixes which frames it loses: the loss tests
+  // and the lossy WAN circuit keep their drop sequences whatever other
+  // fault families the injector learns.
   fault::FaultPlan plan;
   plan.seed = 0x5eed;
   plan.loss_rate = 0.01;

@@ -13,6 +13,7 @@
 #include "link/switch.hpp"
 #include "link/wan.hpp"
 #include "net/headers.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
 namespace xgbe::link {
@@ -106,16 +107,14 @@ TEST(Link, QueueLimitTailDrops) {
 TEST(Link, RandomLossDeterministicPerSeed) {
   auto run_once = [](std::uint64_t seed) {
     sim::Simulator s;
-    LinkSpec spec;
-    spec.loss_rate = 0.1;
-    spec.loss_seed = seed;
-    Link l(s, spec, "x");
+    Link l(s, LinkSpec{}, "x");
+    l.set_fault_plan(fault::FaultPlan{}.with_seed(seed).with_loss(0.1));
     SinkDevice a, b;
     l.attach_a(&a);
     l.attach_b(&b);
     for (int i = 0; i < 1000; ++i) l.transmit(&a, tcp_frame(100));
     s.run();
-    return l.drops_random();
+    return l.fault_counters().drops_uniform;
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NEAR(static_cast<double>(run_once(5)), 100.0, 40.0);
@@ -194,9 +193,56 @@ TEST(Link, ReorderAndDuplicateKeepArrivalThenTransmitOrder) {
   EXPECT_EQ(faults.duplicates, replay.counters().duplicates);
   EXPECT_EQ(faults.reorders, replay.counters().reorders);
   EXPECT_EQ(l.frames_delivered(true), static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(l.drops_queue() + l.drops_forced() + l.drops_random(), 0u);
+  EXPECT_EQ(l.drops_queue() + faults.total_drops(), 0u);
   EXPECT_EQ(got.size(), kFrames + faults.duplicates);
   EXPECT_EQ(s.executed_events(), kFrames + faults.duplicates);
+}
+
+// `frames_seen` adds every frame a direction's queue accepts to the frames
+// its injector decides, so an active plan counts each of its frames twice.
+// The recorded registry snapshots and benchmark digests pin that sum; this
+// case pins the rule in both engines with a plan that is active on a->b but
+// drops nothing (a carrier flap far in the future).
+TEST(Link, FramesSeenCountsActiveDirectionTwice) {
+  constexpr std::uint64_t kAb = 7;
+  constexpr std::uint64_t kBa = 5;
+  const fault::FaultPlan idle =
+      fault::FaultPlan{}.with_flap(sim::sec(100), sim::sec(101));
+  const auto offer = [&](Link& l, SinkDevice& a, SinkDevice& b) {
+    for (std::uint64_t i = 0; i < kAb; ++i) l.transmit(&a, tcp_frame(100));
+    for (std::uint64_t i = 0; i < kBa; ++i) {
+      l.transmit(&b, tcp_frame(0, 2, 1));
+    }
+  };
+  {
+    sim::Simulator s;
+    Link l(s, LinkSpec{}, "x");
+    SinkDevice a, b;
+    l.attach_a(&a);
+    l.attach_b(&b);
+    l.set_fault_plan(idle, /*from_a=*/true);
+    offer(l, a, b);
+    s.run();
+    EXPECT_EQ(b.packets.size(), kAb);
+    EXPECT_EQ(a.packets.size(), kBa);
+    EXPECT_EQ(l.fault_counters().frames_seen, 2 * kAb + kBa);
+    EXPECT_EQ(l.fault_counters().total_drops(), 0u);
+  }
+  {
+    sim::ShardedEngine engine(2);
+    engine.set_lookahead(LinkSpec{}.propagation);
+    Link l(engine, 0, 1, LinkSpec{}, "x");
+    SinkDevice a, b;
+    l.attach_a(&a);
+    l.attach_b(&b);
+    l.set_fault_plan(idle, /*from_a=*/true);
+    offer(l, a, b);
+    engine.run();
+    EXPECT_EQ(b.packets.size(), kAb);
+    EXPECT_EQ(a.packets.size(), kBa);
+    EXPECT_EQ(l.fault_counters().frames_seen, 2 * kAb + kBa);
+    EXPECT_EQ(l.fault_counters().total_drops(), 0u);
+  }
 }
 
 TEST(Link, PosFramingReplacesEthernet) {

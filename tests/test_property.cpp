@@ -3,6 +3,7 @@
 
 #include "analysis/aimd.hpp"
 #include "core/testbed.hpp"
+#include "fault/fault.hpp"
 #include "hw/pcix.hpp"
 #include "hw/presets.hpp"
 #include "net/headers.hpp"
@@ -201,14 +202,12 @@ INSTANTIATE_TEST_SUITE_P(Payloads, MmrbcMonotonicity,
 class LossSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LossSeedSweep, ReliableDeliveryUnderLoss) {
-  link::LinkSpec lossy;
-  lossy.loss_rate = 0.01;
-  lossy.loss_seed = GetParam();
   core::Testbed tb;
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
-  tb.connect(a, b, lossy);
+  tb.connect(a, b).set_fault_plan(
+      fault::FaultPlan{}.with_seed(GetParam()).with_loss(0.01));
   auto conn =
       tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
   tools::NttcpOptions opt;

@@ -142,7 +142,7 @@ TEST(SpanProfiler, DroppedSegmentsAbortInsteadOfCorrupting) {
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
   auto& b = tb.add_host("b", hw::presets::pe2650(), tuning);
   auto& wire = tb.connect(a, b);
-  wire.inject_drops(2);
+  wire.fault_injector(/*from_a=*/true).inject_drops(2);
   auto conn =
       tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
   tools::NttcpOptions opt;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/testbed.hpp"
+#include "fault/fault.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe {
@@ -16,12 +17,12 @@ struct Pair {
   core::Testbed tb;
   core::Host* a = nullptr;
   core::Host* b = nullptr;
+  link::Link* wire = nullptr;
 
-  explicit Pair(const core::TuningProfile& tuning,
-                const link::LinkSpec& wire = link::LinkSpec{}) {
+  explicit Pair(const core::TuningProfile& tuning) {
     a = &tb.add_host("a", hw::presets::pe2650(), tuning);
     b = &tb.add_host("b", hw::presets::pe2650(), tuning);
-    tb.connect(*a, *b, wire);
+    wire = &tb.connect(*a, *b);
   }
 };
 
@@ -130,10 +131,8 @@ TEST(FlowControl, WindowReopensWhenReaderResumes) {
 }
 
 TEST(Loss, FastRetransmitRecovers) {
-  link::LinkSpec lossy;
-  lossy.loss_rate = 0.002;
-  lossy.loss_seed = 1234;
-  Pair p(core::TuningProfile::lan_tuned(9000), lossy);
+  Pair p(core::TuningProfile::lan_tuned(9000));
+  p.wire->set_fault_plan(fault::FaultPlan{}.with_seed(1234).with_loss(0.002));
   auto conn = p.tb.open_connection(*p.a, *p.b, p.a->endpoint_config(),
                                    p.b->endpoint_config());
   tools::NttcpOptions opt;
@@ -147,10 +146,8 @@ TEST(Loss, FastRetransmitRecovers) {
 }
 
 TEST(Loss, HeavyLossFallsBackToRto) {
-  link::LinkSpec lossy;
-  lossy.loss_rate = 0.25;
-  lossy.loss_seed = 77;
-  Pair p(core::TuningProfile::lan_tuned(9000), lossy);
+  Pair p(core::TuningProfile::lan_tuned(9000));
+  p.wire->set_fault_plan(fault::FaultPlan{}.with_seed(77).with_loss(0.25));
   auto conn = p.tb.open_connection(*p.a, *p.b, p.a->endpoint_config(),
                                    p.b->endpoint_config());
   tools::NttcpOptions opt;
@@ -163,10 +160,8 @@ TEST(Loss, HeavyLossFallsBackToRto) {
 }
 
 TEST(Loss, CongestionWindowHalvesOnFastRetransmit) {
-  link::LinkSpec lossy;
-  lossy.loss_rate = 0.01;
-  lossy.loss_seed = 5;
-  Pair p(core::TuningProfile::lan_tuned(9000), lossy);
+  Pair p(core::TuningProfile::lan_tuned(9000));
+  p.wire->set_fault_plan(fault::FaultPlan{}.with_seed(5).with_loss(0.01));
   auto conn = p.tb.open_connection(*p.a, *p.b, p.a->endpoint_config(),
                                    p.b->endpoint_config());
   ASSERT_TRUE(p.tb.run_until_established(conn));
@@ -330,7 +325,7 @@ TEST(FlightCache, MatchesRecountThroughEveryQueueEdit) {
   step_ok("tso partial-ack trim");
 
   // One lost frame mid-stream: duplicate ACKs, then a fast retransmit.
-  wire.inject_drops(1);
+  wire.fault_injector(/*from_a=*/true).inject_drops(1);
   send(16, 65536);
   drain();
   EXPECT_GT(client.stats().fast_retransmits, 0u);
@@ -338,7 +333,7 @@ TEST(FlightCache, MatchesRecountThroughEveryQueueEdit) {
 
   // A lone segment lost with nothing behind it draws no duplicate ACKs:
   // only the retransmission timer recovers it.
-  wire.inject_drops(1);
+  wire.fault_injector(/*from_a=*/true).inject_drops(1);
   send(1, 1000);
   drain();
   EXPECT_GT(client.stats().timeouts, 0u);

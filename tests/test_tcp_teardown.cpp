@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hpp"
+#include "fault/fault.hpp"
 #include "tools/nttcp.hpp"
 
 namespace xgbe {
@@ -14,11 +15,10 @@ struct Pair {
   core::Host* b = nullptr;
   core::Testbed::Connection conn;
 
-  explicit Pair(const core::TuningProfile& tuning,
-                const link::LinkSpec& wire = link::LinkSpec{}) {
+  explicit Pair(const core::TuningProfile& tuning) {
     a = &tb.add_host("a", hw::presets::pe2650(), tuning);
     b = &tb.add_host("b", hw::presets::pe2650(), tuning);
-    tb.connect(*a, *b, wire);
+    tb.connect(*a, *b);
     conn = tb.open_connection(*a, *b, a->endpoint_config(),
                               b->endpoint_config());
     EXPECT_TRUE(tb.run_until_established(conn));
@@ -82,10 +82,6 @@ TEST(Teardown, HalfCloseStillDelivers) {
 }
 
 TEST(Teardown, FinSurvivesLoss) {
-  link::LinkSpec lossy;
-  lossy.loss_rate = 0.0;  // deterministic: drop exactly the FIN
-  Pair p(core::TuningProfile::lan_tuned(9000), lossy);
-  // No direct handle to the link here; use a fresh pair with forced drops.
   core::Testbed tb;
   const auto tuning = core::TuningProfile::lan_tuned(9000);
   auto& a = tb.add_host("a", hw::presets::pe2650(), tuning);
@@ -94,13 +90,19 @@ TEST(Teardown, FinSurvivesLoss) {
   auto conn =
       tb.open_connection(a, b, a.endpoint_config(), b.endpoint_config());
   ASSERT_TRUE(tb.run_until_established(conn));
-  (void)wire;
-  // FIN carries no payload so inject_drops (data-only) won't hit it; use a
-  // short random-loss window instead: close repeatedly retransmits FIN
-  // until acknowledged, so eventually both sides close.
+  // A FIN carries no payload, so forced drops (data frames only) cannot
+  // take it. A 1 ms carrier outage on a->b, armed as the client closes,
+  // loses the FIN instead: the client must retransmit it until it is
+  // acknowledged, and both sides still close.
+  wire.set_fault_plan(
+      fault::FaultPlan{}.with_flap(tb.now(), tb.now() + sim::msec(1)),
+      /*from_a=*/true);
   conn.client->close();
   conn.server->close();
   tb.run_for(sim::sec(5));
+  EXPECT_GT(wire.fault_injector(/*from_a=*/true).counters().drops_carrier,
+            0u);
+  EXPECT_GT(conn.client->stats().fin_retransmits, 0u);
   EXPECT_EQ(conn.server->state(), tcp::TcpState::kClosed);
 }
 
