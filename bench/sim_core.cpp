@@ -3,7 +3,9 @@
 //
 // The headline workload is TimerChurn, modeled on the TCP endpoint's
 // pattern: almost every scheduled retransmit timer is cancelled and re-armed
-// before it fires.
+// before it fires. Hold is the classic priority-queue hold model (fire one
+// event, schedule one a drawn increment later) at a fixed depth: 32 pending
+// keys, the depth real workloads keep, and 4096.
 // The multi-host scaling mode (SimCore_Cluster) measures the sharded
 // engine on the canonical pair cluster: whole-simulation events/sec at
 // 1..512 hosts for shard counts {1, 2, 8}, plus the deterministic counters
@@ -102,6 +104,27 @@ std::uint64_t mixed(int ops) {
   return fired;
 }
 
+// Hold model: `depth` keys stay pending while each of kHoldSteps steps
+// fires the earliest and schedules one at its time plus a drawn increment.
+constexpr int kHoldSteps = 1 << 18;
+
+std::uint64_t hold(int depth) {
+  EventQueue q;
+  xgbe::sim::Rng rng(99);
+  std::uint64_t fired = 0;
+  auto tick = [&fired] { ++fired; };
+  for (int i = 0; i < depth; ++i) {
+    q.schedule(static_cast<SimTime>(rng.next_below(1u << 16)), tick);
+  }
+  for (int i = 0; i < kHoldSteps; ++i) {
+    auto f = q.pop();
+    if (f.cb) f.cb();
+    q.schedule(f.time + 1 + static_cast<SimTime>(rng.next_below(1u << 16)),
+               tick);
+  }
+  return fired;  // kHoldSteps: the `depth` keys left are never fired
+}
+
 template <std::uint64_t (*Work)(int)>
 void run(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -117,6 +140,19 @@ void run(benchmark::State& state) {
 void SimCore_ScheduleFire(benchmark::State& s) { run<&schedule_fire>(s); }
 void SimCore_TimerChurn(benchmark::State& s) { run<&timer_churn>(s); }
 void SimCore_Mixed(benchmark::State& s) { run<&mixed>(s); }
+
+// The argument is the depth, not the operation count: the rate is fired
+// events per second.
+void SimCore_Hold(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    fired = hold(depth);
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * kHoldSteps);
+  state.counters["fired"] = static_cast<double>(fired);
+}
 
 // --- Multi-host scaling on the sharded engine ------------------------------
 
@@ -193,6 +229,7 @@ void SimCore_Cluster(benchmark::State& state) {
 BENCHMARK(SimCore_ScheduleFire)->Arg(1 << 16);
 BENCHMARK(SimCore_TimerChurn)->Arg(1 << 14);
 BENCHMARK(SimCore_Mixed)->Arg(1 << 16);
+BENCHMARK(SimCore_Hold)->Arg(32)->Arg(4096);
 BENCHMARK(SimCore_Cluster)
     ->ArgsProduct({{1, 8, 64, 512}, {1, 2, 8}})
     ->Unit(benchmark::kMillisecond)

@@ -11,6 +11,14 @@
 // continuation that owns another InlineCallback), and invoking an empty
 // callback is a no-op contractually guarded by callers (the simulator tests
 // with operator bool before dispatch).
+//
+// Moving a callback relocates it. Every hot-path capture (pointers, ints, a
+// net::Packet) is trivially copyable, and those relocate as one fixed
+// 104-byte memcpy of the buffer, without an indirect call, and destroy as a
+// no-op. Only captures with a real move or destructor (a shared_ptr, a
+// std::function, a nested InlineCallback, the heap fallback's pointer) keep
+// a per-type manage function. An event's callback is relocated twice: into
+// its queue slot, and out of it when the event fires.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +46,13 @@ class InlineCallback {
     return sizeof(D) <= kInlineBytes &&
            alignof(D) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<D>;
+  }
+
+  /// True when callables of type F are stored inline and relocate by a
+  /// plain copy of the buffer (no manage call on move or destruction).
+  template <typename F>
+  static constexpr bool relocates_by_copy() {
+    return fits_inline<F>() && std::is_trivially_copyable_v<std::decay_t<F>>;
   }
 
   InlineCallback() = default;
@@ -88,7 +103,8 @@ class InlineCallback {
   using Invoke = void (*)(void*);
   // Moves the callable from `src` into `dst` (raw storage), or destroys it
   // when `dst` is null. After a move the source is dead; the caller clears
-  // its ops pointer instead of destroying again.
+  // its ops pointer instead of destroying again. Null for a callable that
+  // relocates by copy.
   using Manage = void (*)(void* src, void* dst);
   // One static table per stored type, so the object carries a single
   // pointer next to its buffer and stays 112 bytes.
@@ -126,18 +142,28 @@ class InlineCallback {
   }
 
   template <typename D>
-  static constexpr Ops kInlineOps{&invoke_inline<D>, &manage_inline<D>, false};
+  static constexpr Ops kInlineOps{
+      &invoke_inline<D>,
+      relocates_by_copy<D>() ? nullptr : &manage_inline<D>, false};
   template <typename D>
   static constexpr Ops kHeapOps{&invoke_heap<D>, &manage_heap<D>, true};
 
   void steal(InlineCallback& other) noexcept {
     ops_ = other.ops_;
-    if (ops_ != nullptr) ops_->manage(other.storage_, storage_);
+    if (ops_ != nullptr) {
+      if (ops_->manage == nullptr) {
+        std::memcpy(storage_, other.storage_, kInlineBytes);
+      } else {
+        ops_->manage(other.storage_, storage_);
+      }
+    }
     other.ops_ = nullptr;
   }
 
   void reset() {
-    if (ops_ != nullptr) ops_->manage(storage_, nullptr);
+    if (ops_ != nullptr && ops_->manage != nullptr) {
+      ops_->manage(storage_, nullptr);
+    }
     ops_ = nullptr;
   }
 

@@ -24,8 +24,8 @@ Simulator::Mark Resource::submit_mark(SimTime cost) {
   return sim_.mark(book(cost));
 }
 
-SimTime Resource::submit(SimTime cost, InlineCallback done) {
-  if (!done) return submit_mark(cost).time;
+SimTime Resource::submit(SimTime cost, InlineCallback&& done) {
+  if (!done) return submit(cost);
   const bool waits = !idle();
   const SimTime finish = book(cost);
   if (!waits) {

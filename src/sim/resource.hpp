@@ -46,9 +46,17 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Enqueues a job of length `cost`; `done` (optional) fires at completion.
-  /// Returns the completion time. `done` may submit to this Resource again.
-  SimTime submit(SimTime cost, InlineCallback done = nullptr);
+  /// Enqueues a job of length `cost` that nobody waits on (a clock mark)
+  /// and returns its completion time.
+  SimTime submit(SimTime cost) { return submit_mark(cost).time; }
+
+  /// Enqueues a job of length `cost` whose continuation `done` fires at its
+  /// completion, and returns the completion time. Takes `done` by rvalue
+  /// reference, like Simulator's scheduling calls, so a continuation built
+  /// at the call site is not moved through a by-value parameter on its way
+  /// to the event set or the FIFO. An empty `done` makes this
+  /// submit(cost). `done` may submit to this Resource again.
+  SimTime submit(SimTime cost, InlineCallback&& done);
 
   /// Enqueues a job of length `cost` that nobody waits on, and returns the
   /// clock mark its completion takes.

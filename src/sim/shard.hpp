@@ -76,9 +76,9 @@ class ShardedEngine {
   /// sit in the outbox in post order. `at` must lie past the window, as a
   /// frame crossing a link does.
   void post(std::uint32_t channel, std::size_t to, SimTime at,
-            InlineCallback fn) {
-    outbox_.push_back(
-        Posted{at, channel, static_cast<std::uint32_t>(to), std::move(fn)});
+            InlineCallback&& fn) {
+    outbox_.emplace_back(at, channel, static_cast<std::uint32_t>(to),
+                         std::move(fn));
   }
 
   /// Sets the lookahead (window width). Must be <= the minimum propagation

@@ -48,13 +48,15 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  /// Schedules `cb` to run `delay` picoseconds from now (>= 0).
-  EventId schedule(SimTime delay, EventQueue::Callback cb) {
+  /// Schedules `cb` to run `delay` picoseconds from now (>= 0). Like every
+  /// scheduling call, it takes the callback by rvalue reference: a callback
+  /// built at the call site moves once, into its queue slot.
+  EventId schedule(SimTime delay, EventQueue::Callback&& cb) {
     return queue_.schedule(now_ + (delay < 0 ? 0 : delay), std::move(cb));
   }
 
   /// Schedules `cb` at absolute time `at` (clamped to `now()`).
-  EventId schedule_at(SimTime at, EventQueue::Callback cb) {
+  EventId schedule_at(SimTime at, EventQueue::Callback&& cb) {
     return queue_.schedule(at < now_ ? now_ : at, std::move(cb));
   }
 
@@ -67,7 +69,7 @@ class Simulator {
   /// sequence from reserve_seq(). Each reserved sequence is used at most
   /// once.
   EventId schedule_reserved(SimTime at, std::uint64_t seq,
-                            EventQueue::Callback cb) {
+                            EventQueue::Callback&& cb) {
     return queue_.schedule(at < now_ ? now_ : at, seq, std::move(cb));
   }
 

@@ -2,10 +2,13 @@
 // reference implementation (a flat vector scanned for the minimum), driven
 // by seeded schedule/reserve/cancel/pop interleavings. Covers the hazards
 // the heap's handle table must get right (cancel-after-fire, duplicate
-// cancels, slot reuse aliasing) and the reserved-sequence contract: an
-// event scheduled late with an early reservation sorts by the reservation.
+// cancels, slot reuse aliasing), the reserved-sequence contract (an event
+// scheduled late with an early reservation sorts by the reservation), and
+// the root a pop() leaves vacant: every step checks size(), next_time() and
+// the queue's full recount of its invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +43,17 @@ std::size_t ref_live(const std::vector<RefEvent>& ref) {
   std::size_t n = 0;
   for (const auto& e : ref) n += e.live ? 1 : 0;
   return n;
+}
+
+// The queue against the reference after one step: the same count, the same
+// earliest time, and every invariant recomputed from scratch.
+void expect_matches(const EventQueue& q, const std::vector<RefEvent>& ref) {
+  ASSERT_EQ(q.invariant_violation(), "");
+  ASSERT_EQ(q.size(), ref_live(ref));
+  ASSERT_EQ(q.empty(), ref_live(ref) == 0);
+  if (!q.empty()) {
+    ASSERT_EQ(q.next_time(), ref[ref_min(ref)].time);
+  }
 }
 
 // Schedules, reserved-sequence schedules, cancels and pops in a seeded mix.
@@ -107,7 +121,8 @@ TEST(EventQueueStress, MatchesNaiveReference) {
         EXPECT_EQ(last_fired, expect);
         ref[expect].live = false;
       }
-      ASSERT_EQ(q.size(), ref_live(ref));
+      expect_matches(q, ref);
+      if (HasFatalFailure()) return;
     }
 
     // Late schedules for every outstanding reservation, then drain: the
@@ -122,9 +137,82 @@ TEST(EventQueueStress, MatchesNaiveReference) {
       EXPECT_EQ(last_fired, expect);
       EXPECT_EQ(fired.time, ref[expect].time);
       ref[expect].live = false;
+      expect_matches(q, ref);
+      if (HasFatalFailure()) return;
     }
     EXPECT_EQ(ref_live(ref), 0u);
   }
+}
+
+// pop() leaves the root vacant. A cancel() then fills it with the last key
+// before it removes its own, so it must find its key where the fill left
+// it; next_time() must look past the vacancy, and schedule() fills it.
+TEST(EventQueueVacancy, CancelAfterPopFindsMovedKeys) {
+  // Keys scheduled in time order sit in the heap in that order, so the
+  // last one (60) is the key that filling the vacancy moves.
+  for (int victim : {60, 50, 20}) {
+    SCOPED_TRACE(victim);
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int t = 10; t <= 60; t += 10) {
+      ids.push_back(q.schedule(t, [&order, t] { order.push_back(t); }));
+    }
+    auto fired = q.pop();
+    EXPECT_EQ(fired.time, 10);
+    fired.cb();
+    ASSERT_EQ(q.invariant_violation(), "");
+    EXPECT_EQ(q.size(), 5u);
+    EXPECT_EQ(q.next_time(), 20);
+    q.cancel(ids[static_cast<std::size_t>(victim / 10 - 1)]);
+    ASSERT_EQ(q.invariant_violation(), "");
+    EXPECT_EQ(q.size(), 4u);
+    EXPECT_EQ(q.next_time(), victim == 20 ? 30 : 20);
+    q.schedule(15, [&order] { order.push_back(15); });
+    ASSERT_EQ(q.invariant_violation(), "");
+    EXPECT_EQ(q.next_time(), 15);
+    while (!q.empty()) {
+      q.pop().cb();
+      ASSERT_EQ(q.invariant_violation(), "");
+    }
+    std::vector<int> expect{10, 15, 20, 30, 40, 50, 60};
+    expect.erase(std::find(expect.begin(), expect.end(), victim));
+    EXPECT_EQ(order, expect);
+  }
+}
+
+// The same on a queue holding one key after the pop: the vacancy's only
+// child is the last key, and cancelling it leaves nothing.
+TEST(EventQueueVacancy, OneKeyLeft) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule(10, [&fired] { fired += 1; });
+  const EventId last = q.schedule(20, [&fired] { fired += 100; });
+  q.pop().cb();
+  ASSERT_EQ(q.invariant_violation(), "");
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 20);
+  q.cancel(last);
+  ASSERT_EQ(q.invariant_violation(), "");
+  EXPECT_TRUE(q.empty());
+  q.cancel(last);  // stale: a no-op on an empty queue
+  q.schedule(30, [&fired] { fired += 10; });
+  ASSERT_EQ(q.invariant_violation(), "");
+  EXPECT_EQ(q.next_time(), 30);
+  auto popped = q.pop();
+  EXPECT_EQ(popped.time, 30);
+  popped.cb();
+  // Only the vacancy is left: empty, and the next schedule fills it.
+  ASSERT_EQ(q.invariant_violation(), "");
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  q.schedule(5, [&fired] { fired += 1000; });
+  ASSERT_EQ(q.invariant_violation(), "");
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 5);
+  q.pop().cb();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, 1011);
 }
 
 // After an event fires, its handle slot may be reused by a new event; the
